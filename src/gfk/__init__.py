@@ -1,13 +1,15 @@
 """Gated-frustum kit: simulate gated range-intensity imaging and lift 2D
 detections to 3D boxes with a small learned codec regressor."""
 
+from types import ModuleType as _ModuleType
+
 from .camera import (
     CamPoint,
     CameraModel,
     DEFAULT_CAMERA,
     PixelPoint,
+    calibration_to_json,
     load_calibration,
-    save_calibration,
     wrap_to_pi,
 )
 from .codec import (
@@ -63,11 +65,9 @@ from .ripsim import (
     build_rip_tables,
     default_gates,
     depth_from_ratios,
-    load_gates,
     measure_pixel,
     render_frame,
     rip_value,
-    save_gates,
 )
 from .scene import (
     Box2D,
@@ -88,88 +88,6 @@ from .scene import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousRange",
-    "ApResult",
-    "BehindCamera",
-    "Box2D",
-    "Box3D",
-    "CAR",
-    "CamPoint",
-    "CameraModel",
-    "CodeTargets",
-    "ConfigError",
-    "DEFAULT_CAMERA",
-    "DEFAULT_CLASSES",
-    "DEFAULT_NOISE",
-    "DegenerateBox",
-    "EmptyDataset",
-    "EvalConfig",
-    "EvalReport",
-    "FrustumCode",
-    "FrustumSegment",
-    "FullyOutOfImage",
-    "GateConfig",
-    "GatedFrame",
-    "GfkError",
-    "InsufficientSignal",
-    "InvalidAlbedo",
-    "InvalidStats",
-    "K_DEFAULT",
-    "LabeledObject",
-    "LossBreakdown",
-    "LossWeights",
-    "MlpParams",
-    "ModelParseError",
-    "NOISELESS",
-    "NegativeRange",
-    "NoiseConfig",
-    "NonPositiveDepth",
-    "NonPositiveDimension",
-    "ObjectClass",
-    "PEDESTRIAN",
-    "ParseError",
-    "PixelPoint",
-    "RipTable",
-    "SPEED_OF_LIGHT",
-    "Sample",
-    "SceneConfig",
-    "SceneDescription",
-    "SceneObject",
-    "ShapeMismatch",
-    "TrainConfig",
-    "ap_40",
-    "build_rip_tables",
-    "decode",
-    "default_gates",
-    "depth_from_ratios",
-    "encode",
-    "evaluate",
-    "extract_features",
-    "forward",
-    "frustum_segment",
-    "init_params",
-    "iou_2d",
-    "iou_3d",
-    "iou_bev",
-    "load_calibration",
-    "load_gates",
-    "load_model",
-    "loss_3d",
-    "measure_pixel",
-    "oracle_box2d",
-    "perturb_box2d",
-    "predict",
-    "read_labels",
-    "read_predictions",
-    "render_frame",
-    "rip_value",
-    "sample_scene",
-    "save_calibration",
-    "save_gates",
-    "save_model",
-    "smooth_l1",
-    "train",
-    "triangulate_depth",
-    "wrap_to_pi",
-]
+# Every public name imported above; the submodules themselves stay out.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import NonPositiveDepth, ParseError
@@ -111,16 +111,8 @@ def yaw_to_observation_angle(yaw: float, p: CamPoint) -> float:
     return wrap_to_pi(yaw - math.atan2(p.x, p.z))
 
 
-def save_calibration(cam: CameraModel, path: str | Path) -> None:
-    payload = {
-        "f_u": cam.f_u,
-        "f_v": cam.f_v,
-        "c_u": cam.c_u,
-        "c_v": cam.c_v,
-        "width": cam.width,
-        "height": cam.height,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+def calibration_to_json(cam: CameraModel) -> str:
+    return json.dumps(asdict(cam), indent=2) + "\n"
 
 
 def load_calibration(path: str | Path) -> CameraModel:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -33,7 +32,7 @@ from .camera import (
     yaw_to_observation_angle,
 )
 from .errors import DegenerateBox, InvalidStats, NonPositiveDepth, NonPositiveDimension, ParseError
-from .scene import Box2D, Box3D, ObjectClass
+from .scene import Box2D, Box3D, ObjectClass, read_jsonl
 
 # Half-width of the height sweep in sigmas.
 K_DEFAULT = 2.0
@@ -188,17 +187,7 @@ def parse_prediction(rec: dict, where: str = "prediction") -> tuple[str, Box3D, 
 
 
 def read_predictions(path) -> list[tuple[str, Box3D, Box2D, FrustumCode]]:
-    path = Path(path)
-    out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {e}") from e
-        out.append(parse_prediction(rec, where=f"{path}:{lineno}"))
-    return out
+    return read_jsonl(path, parse_prediction)
 
 
 def predictions_to_jsonl(rows: Iterable[tuple[str, Box3D, Box2D, FrustumCode]]) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -90,8 +90,6 @@ class ApResult:
     n_gt: int
     n_det: int
     n_matched: int
-    # (recall, precision) after each detection in score order
-    pr_points: tuple[tuple[float, float], ...] = ()
 
 
 def _greedy_match(dets, gts, iou_fn, threshold, det_frames, gt_frames):
@@ -155,7 +153,6 @@ def ap_40(dets: Sequence, gts: Sequence, iou_fn: Callable, threshold: float,
         n_gt=len(gts),
         n_det=len(dets),
         n_matched=int(cum_tp[-1]),
-        pr_points=tuple(zip(recalls.tolist(), precisions.tolist())),
     )
 
 
@@ -185,13 +182,7 @@ class EvalReport:
             for kind in self.kinds:
                 per_bin = {}
                 for lbl in self.bin_labels:
-                    cell = self.cells[(cls, kind, lbl)]
-                    per_bin[lbl] = {
-                        "ap": cell.ap,
-                        "n_gt": cell.n_gt,
-                        "n_det": cell.n_det,
-                        "n_matched": cell.n_matched,
-                    }
+                    per_bin[lbl] = asdict(self.cells[(cls, kind, lbl)])
                 per_kind[kind] = per_bin
             out["classes"][cls] = per_kind
         return out

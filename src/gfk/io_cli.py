@@ -22,13 +22,15 @@ without changing the output.
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import json
 import logging
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -38,12 +40,13 @@ from . import pgm
 from .camera import (
     CameraModel,
     DEFAULT_CAMERA,
+    calibration_to_json,
     load_calibration,
-    save_calibration,
     wrap_to_pi,
 )
 from .codec import K_DEFAULT, encode, decode, predictions_to_jsonl, read_predictions
-from .errors import ConfigError, EmptyDataset, FullyOutOfImage, GfkError, ParseError
+from .errors import (ConfigError, EmptyDataset, FullyOutOfImage, GfkError, ModelParseError,
+                     ParseError)
 from .eval import EvalConfig, EvalReport, bev_svg, evaluate
 from .loss import CodeTargets, LossWeights
 from .regressor import (
@@ -71,6 +74,8 @@ from .scene import (
     LabeledObject,
     ObjectClass,
     SceneConfig,
+    class_stats_from_json,
+    class_stats_to_json,
     labels_to_jsonl,
     oracle_box2d,
     parse_label,
@@ -157,10 +162,7 @@ def write_manifest(layout: DatasetLayout, seed: int, splits: dict[str, list[str]
     payload = {
         "seed": seed,
         "splits": splits,
-        "classes": {
-            name: {"dim_mean": list(c.dim_mean), "sigma_h": c.sigma_h}
-            for name, c in sorted(classes.items())
-        },
+        "classes": class_stats_to_json(classes),
     }
     atomic_write_text(layout.manifest_path, json.dumps(payload, indent=2) + "\n")
 
@@ -175,14 +177,10 @@ def load_manifest(layout: DatasetLayout) -> Manifest:
         raise ParseError(f"{path}: invalid JSON: {e}") from e
     try:
         splits = {s: [str(f) for f in payload["splits"].get(s, [])] for s in SPLITS}
-        classes = {
-            str(name): ObjectClass(str(name), tuple(float(d) for d in rec["dim_mean"]),
-                                   float(rec["sigma_h"]))
-            for name, rec in payload.get("classes", {}).items()
-        }
+        classes = class_stats_from_json(payload.get("classes", {}), f"{path}: classes")
         return Manifest(seed=int(payload["seed"]), splits=splits,
                         classes=classes or dict(DEFAULT_CLASSES))
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: bad manifest: {e}") from e
 
 
@@ -247,21 +245,91 @@ class RunConfig:
         return self.out_dir / "codec_check.json"
 
 
-def _check_keys(section: dict, allowed: Sequence[str], where: str) -> None:
-    extra = sorted(set(section) - set(allowed))
-    if extra:
-        raise ConfigError(f"{where}.{extra[0]}: unknown field")
+def _field_names(cls, *skip: str) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
 
 
-def _get(section: dict, key: str, where: str, convert, default):
-    if key not in section or section[key] is None:
-        if default is ...:
-            raise ConfigError(f"{where}.{key}: required field missing")
-        return default
+# The keys of each object section of a run config. A section that exposes
+# every field of its dataclass takes its keys from that dataclass.
+TRAIN_KEYS = ("hidden_sizes", "epochs", "batch_size", "learning_rate")
+EVAL_KEYS = ("iou_thresholds", "bins")
+SECTIONS = {
+    "dataset": ("dir", "frames"),
+    "camera": _field_names(CameraModel),
+    "noise": _field_names(NoiseConfig),
+    "scene": _field_names(SceneConfig, "camera"),
+    "codec": ("k",),
+    "train": TRAIN_KEYS + _field_names(LossWeights) + ("ablate_intensity",),
+    "eval": EVAL_KEYS,
+    "predict": ("split", "perturb"),
+}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _convert(value, tp, where: str):
+    """A JSON value checked against the type hint tp and converted to it.
+
+    Booleans are not numbers, counts must be integers, numbers must be finite.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} items, got {len(value)}")
+        return tuple(_convert(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
+    if origin is collections.abc.Mapping:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {value!r}")
+        return {k: _convert(v, args[1], f"{where}.{k}") for k, v in value.items()}
+    if tp is float:
+        # exact for integers of any size, and false for NaN and the infinities
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is tp:  # bool, int or str; a JSON boolean is not an int here
+        return value
+    raise ConfigError(f"{where}: expected {_EXPECTED[tp]}, got {value!r}")
+
+
+def _section(value, where: str, keys: Sequence[str]) -> dict:
+    """A config section: a JSON object holding only the given keys; null is {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
+    return value
+
+
+def _get(section: dict, key: str, where: str, tp, default):
+    value = section.get(key)
+    return default if value is None else _convert(value, tp, f"{where}.{key}")
+
+
+def _build(cls, section: dict, where: str, keys: Sequence[str] | None = None, **given):
+    """An instance of the dataclass cls read from one config section.
+
+    The fields named in keys (by default every field not in given) are read
+    from section and typed by cls's type hints; an absent or null value, like
+    any field in neither keys nor given, keeps the dataclass default.
+    """
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in given or (keys is not None and f.name not in keys):
+            continue
+        value = section.get(f.name)
+        if value is not None:
+            given[f.name] = _convert(value, hints[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}.{f.name}: required field missing")
     try:
-        return convert(section[key])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}.{key}: {e}") from e
+        return cls(**given)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def load_run_config(path: str | Path, seed_override: int | None = None,
@@ -280,163 +348,59 @@ def load_run_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _check_keys(payload, ("seed", "out_dir", "dataset", "camera", "gates", "noise",
-                          "scene", "codec", "train", "eval", "predict"), "config")
+    _section(payload, "config", ("seed", "out_dir", "gates", *SECTIONS))
+    sec = {name: _section(payload.get(name), name, keys) for name, keys in SECTIONS.items()}
     base = path.parent
 
     seed = seed_override if seed_override is not None else _get(payload, "seed", "config", int, 0)
+    if seed < 0:
+        where = "config.seed" if seed_override is None else "--seed"
+        raise ConfigError(f"{where}: must be >= 0, got {seed}")
 
-    out_raw = out_override if out_override is not None else payload.get("out_dir", "runs/out")
+    out_raw = out_override if out_override is not None else _get(payload, "out_dir", "config",
+                                                                 str, "runs/out")
     out_dir = Path(out_raw)
     if not out_dir.is_absolute() and out_override is None:
         out_dir = base / out_dir
 
-    ds = payload.get("dataset") or {}
-    _check_keys(ds, ("dir", "frames"), "dataset")
-    ds_dir_raw = ds.get("dir")
+    ds_dir_raw = _get(sec["dataset"], "dir", "dataset", str, None)
     dataset_dir = Path(ds_dir_raw) if ds_dir_raw else out_dir / "dataset"
     if ds_dir_raw and not dataset_dir.is_absolute():
         dataset_dir = base / dataset_dir
-    frames_sec = ds.get("frames") or {}
-    _check_keys(frames_sec, SPLITS, "dataset.frames")
+    frames_sec = _section(sec["dataset"].get("frames"), "dataset.frames", SPLITS)
     frames = {s: _get(frames_sec, s, "dataset.frames", int, 0) for s in SPLITS}
     for s, n in frames.items():
         if n < 0:
             raise ConfigError(f"dataset.frames.{s}: must be >= 0, got {n}")
 
-    cam_sec = payload.get("camera")
-    if cam_sec is None:
-        camera = DEFAULT_CAMERA
-    else:
-        _check_keys(cam_sec, ("f_u", "f_v", "c_u", "c_v", "width", "height"), "camera")
-        try:
-            camera = CameraModel(
-                f_u=_get(cam_sec, "f_u", "camera", float, ...),
-                f_v=_get(cam_sec, "f_v", "camera", float, ...),
-                c_u=_get(cam_sec, "c_u", "camera", float, ...),
-                c_v=_get(cam_sec, "c_v", "camera", float, ...),
-                width=_get(cam_sec, "width", "camera", int, ...),
-                height=_get(cam_sec, "height", "camera", int, ...),
-            )
-        except ValueError as e:
-            raise ConfigError(f"camera: {e}") from e
+    camera = DEFAULT_CAMERA
+    if payload.get("camera") is not None:
+        camera = _build(CameraModel, sec["camera"], "camera")
 
-    gates_sec = payload.get("gates")
-    if gates_sec is None:
+    gates = payload.get("gates")
+    if gates is None:
         gates = default_gates()
+    elif not isinstance(gates, list) or len(gates) != 3:
+        raise ConfigError("gates: expected a list of exactly 3 gate objects")
     else:
-        if not isinstance(gates_sec, list) or len(gates_sec) != 3:
-            raise ConfigError("gates: expected a list of exactly 3 gate objects")
-        gates = []
-        for i, rec in enumerate(gates_sec):
-            _check_keys(rec, ("delay", "gate_duration", "pulse_duration", "gate_amplitude",
-                              "pulse_amplitude", "attenuation_gamma", "inverse_square"),
-                        f"gates[{i}]")
-            try:
-                gates.append(GateConfig(
-                    delay=_get(rec, "delay", f"gates[{i}]", float, ...),
-                    gate_duration=_get(rec, "gate_duration", f"gates[{i}]", float, ...),
-                    pulse_duration=_get(rec, "pulse_duration", f"gates[{i}]", float, ...),
-                    gate_amplitude=_get(rec, "gate_amplitude", f"gates[{i}]", float, 1.0),
-                    pulse_amplitude=_get(rec, "pulse_amplitude", f"gates[{i}]", float, 1.0),
-                    attenuation_gamma=_get(rec, "attenuation_gamma", f"gates[{i}]", float, 0.0),
-                    inverse_square=_get(rec, "inverse_square", f"gates[{i}]", bool, False),
-                ))
-            except ValueError as e:
-                raise ConfigError(f"gates[{i}]: {e}") from e
-        gates = tuple(gates)
+        gates = tuple(_build(GateConfig, _section(rec, f"gates[{i}]", _field_names(GateConfig)),
+                             f"gates[{i}]") for i, rec in enumerate(gates))
 
-    noise_sec = payload.get("noise") or {}
-    _check_keys(noise_sec, ("read_noise_sigma", "photon_scale", "enable_clipping", "full_scale"),
-                "noise")
-    try:
-        noise = NoiseConfig(
-            read_noise_sigma=_get(noise_sec, "read_noise_sigma", "noise", float, 2.0),
-            photon_scale=_get(noise_sec, "photon_scale", "noise", float, 20.0),
-            enable_clipping=_get(noise_sec, "enable_clipping", "noise", bool, True),
-            full_scale=_get(noise_sec, "full_scale", "noise", int, 1023),
-        )
-    except ValueError as e:
-        raise ConfigError(f"noise: {e}") from e
-
-    scene_sec = payload.get("scene") or {}
-    _check_keys(scene_sec, ("classes", "min_objects", "max_objects", "z_range", "ground_y", "ground_y_jitter",
-                            "albedo_range", "x_margin", "background_albedo", "background_range",
-                            "max_retries"), "scene")
-    class_names = scene_sec.get("classes") or list(DEFAULT_CLASSES)
-    classes = []
+    class_names = _get(sec["scene"], "classes", "scene", tuple[str, ...], tuple(DEFAULT_CLASSES))
     for name in class_names:
         if name not in DEFAULT_CLASSES:
             raise ConfigError(f"scene.classes: unknown class {name!r}")
-        classes.append(DEFAULT_CLASSES[name])
-    try:
-        scene_cfg = SceneConfig(
-            camera=camera,
-            classes=tuple(classes),
-            min_objects=_get(scene_sec, "min_objects", "scene", int, 1),
-            max_objects=_get(scene_sec, "max_objects", "scene", int, 4),
-            z_range=_get(scene_sec, "z_range", "scene",
-                         lambda v: (float(v[0]), float(v[1])), (5.0, 85.0)),
-            ground_y=_get(scene_sec, "ground_y", "scene", float, 1.65),
-            ground_y_jitter=_get(scene_sec, "ground_y_jitter", "scene", float, 0.0),
-            albedo_range=_get(scene_sec, "albedo_range", "scene",
-                              lambda v: (float(v[0]), float(v[1])), (0.2, 0.9)),
-            x_margin=_get(scene_sec, "x_margin", "scene", float, 0.85),
-            background_albedo=_get(scene_sec, "background_albedo", "scene", float, 0.0),
-            background_range=_get(scene_sec, "background_range", "scene", float, 150.0),
-            max_retries=_get(scene_sec, "max_retries", "scene", int, 100),
-        )
-    except ValueError as e:
-        raise ConfigError(f"scene: {e}") from e
+    scene_cfg = _build(SceneConfig, sec["scene"], "scene", camera=camera,
+                       classes=tuple(DEFAULT_CLASSES[name] for name in class_names))
 
-    codec_sec = payload.get("codec") or {}
-    _check_keys(codec_sec, ("k",), "codec")
-    codec_k = _get(codec_sec, "k", "codec", float, K_DEFAULT)
+    codec_k = _get(sec["codec"], "k", "codec", float, K_DEFAULT)
     if codec_k <= 0:
         raise ConfigError(f"codec.k: must be positive, got {codec_k}")
 
-    train_sec = payload.get("train") or {}
-    _check_keys(train_sec, ("hidden_sizes", "epochs", "batch_size", "learning_rate",
-                            "alpha", "beta", "smooth_l1_delta", "ablate_intensity"), "train")
-    try:
-        weights = LossWeights(
-            alpha=_get(train_sec, "alpha", "train", float, 1.0),
-            beta=_get(train_sec, "beta", "train", float, 1.0),
-            smooth_l1_delta=_get(train_sec, "smooth_l1_delta", "train", float, 1.0),
-        )
-        train_cfg = TrainConfig(
-            hidden_sizes=_get(train_sec, "hidden_sizes", "train",
-                              lambda v: tuple(int(s) for s in v), (64, 64)),
-            epochs=_get(train_sec, "epochs", "train", int, 40),
-            batch_size=_get(train_sec, "batch_size", "train", int, 64),
-            learning_rate=_get(train_sec, "learning_rate", "train", float, 3e-3),
-            seed=seed,
-            loss=weights,
-        )
-    except ValueError as e:
-        raise ConfigError(f"train: {e}") from e
-    ablate = _get(train_sec, "ablate_intensity", "train", bool, False)
-
-    eval_sec = payload.get("eval") or {}
-    _check_keys(eval_sec, ("iou_thresholds", "bins"), "eval")
-    try:
-        eval_cfg = EvalConfig(
-            iou_thresholds=_get(eval_sec, "iou_thresholds", "eval",
-                                lambda v: {str(k): float(t) for k, t in v.items()},
-                                {"Car": 0.2, "Pedestrian": 0.1}),
-            bins=_get(eval_sec, "bins", "eval",
-                      lambda v: tuple((float(lo), float(hi)) for lo, hi in v),
-                      ((0.0, 30.0), (30.0, 50.0), (50.0, 80.0))),
-        )
-    except ValueError as e:
-        raise ConfigError(f"eval: {e}") from e
-
-    predict_sec = payload.get("predict") or {}
-    _check_keys(predict_sec, ("split", "perturb"), "predict")
-    split = _get(predict_sec, "split", "predict", str, "test")
+    split = _get(sec["predict"], "split", "predict", str, "test")
     if split not in SPLITS:
         raise ConfigError(f"predict.split: must be one of {SPLITS}, got {split!r}")
-    perturb = _get(predict_sec, "perturb", "predict", float, 0.0)
+    perturb = _get(sec["predict"], "perturb", "predict", float, 0.0)
     if perturb < 0:
         raise ConfigError(f"predict.perturb: must be >= 0, got {perturb}")
 
@@ -447,12 +411,13 @@ def load_run_config(path: str | Path, seed_override: int | None = None,
         frames=frames,
         camera=camera,
         gates=gates,
-        noise=noise,
+        noise=_build(NoiseConfig, sec["noise"], "noise"),
         scene=scene_cfg,
         codec_k=codec_k,
-        train_cfg=train_cfg,
-        ablate_intensity=ablate,
-        eval_cfg=eval_cfg,
+        train_cfg=_build(TrainConfig, sec["train"], "train", keys=TRAIN_KEYS, seed=seed,
+                         loss=_build(LossWeights, sec["train"], "train")),
+        ablate_intensity=_get(sec["train"], "ablate_intensity", "train", bool, False),
+        eval_cfg=_build(EvalConfig, sec["eval"], "eval", keys=EVAL_KEYS),
         predict_split=split,
         perturb_2d=perturb,
     )
@@ -509,7 +474,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     else:
         warnings = [build(j) for j in jobs]
 
-    save_calibration(cfg.camera, layout.calibration_path)
+    atomic_write_text(layout.calibration_path, calibration_to_json(cfg.camera))
     atomic_write_text(layout.gates_path, gates_to_json(cfg.gates))
     classes = {c.name: c for c in cfg.scene.classes}
     write_manifest(layout, cfg.seed, splits, classes)
@@ -564,10 +529,7 @@ def cmd_train(cfg: RunConfig) -> dict:
     meta = {
         "k": cfg.codec_k,
         "feature_mask": None if mask is None else mask.tolist(),
-        "classes": {
-            name: {"dim_mean": list(c.dim_mean), "sigma_h": c.sigma_h}
-            for name, c in sorted(manifest.classes.items())
-        },
+        "classes": class_stats_to_json(manifest.classes),
     }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.model_path, model_to_json(params, meta))
@@ -581,14 +543,12 @@ def cmd_train(cfg: RunConfig) -> dict:
     }
 
 
-def _meta_classes(meta: dict, fallback: dict[str, ObjectClass]) -> dict[str, ObjectClass]:
+def _meta_classes(meta: dict, fallback: dict[str, ObjectClass],
+                  where: str) -> dict[str, ObjectClass]:
     recs = meta.get("classes")
     if not recs:
         return dict(fallback)
-    return {
-        name: ObjectClass(name, tuple(float(d) for d in rec["dim_mean"]), float(rec["sigma_h"]))
-        for name, rec in recs.items()
-    }
+    return class_stats_from_json(recs, f"{where}: meta.classes", ModelParseError)
 
 
 def cmd_predict(cfg: RunConfig) -> dict:
@@ -599,7 +559,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
     k = float(meta.get("k", cfg.codec_k))
     mask = meta.get("feature_mask")
     mask = None if mask is None else np.asarray(mask, dtype=np.float64)
-    classes = _meta_classes(meta, manifest.classes)
+    classes = _meta_classes(meta, manifest.classes, str(cfg.model_path))
 
     frame_ids = manifest.splits[cfg.predict_split]
     rows = []

@@ -187,6 +187,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
+        if any(s <= 0 for s in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 

@@ -18,10 +18,9 @@ plus gaussian read noise, then optional clipping and 10-bit quantization.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from pathlib import Path
 import json
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .errors import (
     InvalidAlbedo,
     NegativeRange,
     NonPositiveDepth,
-    ParseError,
 )
 from .scene import SceneDescription
 
@@ -328,47 +326,4 @@ def depth_from_ratios(z1: float, z2: float, z3: float, tables,
 # gate files
 
 def gates_to_json(gates) -> str:
-    records = [
-        {
-            "delay": g.delay,
-            "gate_duration": g.gate_duration,
-            "pulse_duration": g.pulse_duration,
-            "gate_amplitude": g.gate_amplitude,
-            "pulse_amplitude": g.pulse_amplitude,
-            "attenuation_gamma": g.attenuation_gamma,
-            "inverse_square": g.inverse_square,
-        }
-        for g in gates
-    ]
-    return json.dumps(records, indent=2) + "\n"
-
-
-def save_gates(gates, path: str | Path) -> None:
-    Path(path).write_text(gates_to_json(gates))
-
-
-def load_gates(path: str | Path) -> tuple[GateConfig, ...]:
-    path = Path(path)
-    try:
-        records = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(records, list) or len(records) != 3:
-        raise ParseError(f"{path}: expected a list of exactly 3 gates")
-    gates = []
-    for i, rec in enumerate(records):
-        try:
-            gates.append(
-                GateConfig(
-                    delay=float(rec["delay"]),
-                    gate_duration=float(rec["gate_duration"]),
-                    pulse_duration=float(rec["pulse_duration"]),
-                    gate_amplitude=float(rec.get("gate_amplitude", 1.0)),
-                    pulse_amplitude=float(rec.get("pulse_amplitude", 1.0)),
-                    attenuation_gamma=float(rec.get("attenuation_gamma", 0.0)),
-                    inverse_square=bool(rec.get("inverse_square", False)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{path}: gate {i}: {e}") from e
-    return tuple(gates)
+    return json.dumps([asdict(g) for g in gates], indent=2) + "\n"

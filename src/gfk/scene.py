@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .camera import DEFAULT_CAMERA, CameraModel, CamPoint, project, wrap_to_pi
-from .errors import BehindCamera, FullyOutOfImage, InvalidAlbedo, ParseError
+from .errors import BehindCamera, FullyOutOfImage, GfkError, InvalidAlbedo, ParseError
 from .geometry import convex_intersection_area, rect_corners
 
 logger = logging.getLogger(__name__)
@@ -37,10 +37,11 @@ class ObjectClass:
     sigma_h: float
 
     def __post_init__(self) -> None:
-        if any(d <= 0 for d in self.dim_mean):
-            raise ValueError(f"{self.name}: nonpositive mean dimension {self.dim_mean}")
-        if self.sigma_h < 0:
-            raise ValueError(f"{self.name}: negative sigma_h {self.sigma_h}")
+        if len(self.dim_mean) != 3 or not all(0 < d < math.inf for d in self.dim_mean):
+            raise ValueError(f"{self.name}: mean dimensions must be 3 positive finite "
+                             f"numbers, got {self.dim_mean}")
+        if not 0 <= self.sigma_h < math.inf:
+            raise ValueError(f"{self.name}: sigma_h must be finite and >= 0, got {self.sigma_h}")
 
 
 # k=2 spans pedestrian heights 1.5 m to 2.0 m, which covers most adults.
@@ -48,6 +49,27 @@ PEDESTRIAN = ObjectClass("Pedestrian", (1.75, 0.6, 0.8), 0.125)
 CAR = ObjectClass("Car", (1.55, 1.85, 4.30), 0.15)
 
 DEFAULT_CLASSES: dict[str, ObjectClass] = {c.name: c for c in (CAR, PEDESTRIAN)}
+
+
+def class_stats_to_json(classes: dict[str, ObjectClass]) -> dict:
+    """Class statistics as stored in manifests and model metadata, sorted by name."""
+    return {
+        name: {"dim_mean": list(c.dim_mean), "sigma_h": c.sigma_h}
+        for name, c in sorted(classes.items())
+    }
+
+
+def class_stats_from_json(recs, where: str,
+                          error: type[GfkError] = ParseError) -> dict[str, ObjectClass]:
+    """Inverse of class_stats_to_json; a malformed record raises `error` naming where."""
+    try:
+        return {
+            str(name): ObjectClass(str(name), tuple(float(d) for d in rec["dim_mean"]),
+                                   float(rec["sigma_h"]))
+            for name, rec in recs.items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise error(f"{where}: bad class record: {type(e).__name__}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -323,18 +345,22 @@ def labels_to_jsonl(objs: list[LabeledObject]) -> str:
     return "".join(json.dumps(label_record(o)) + "\n" for o in objs)
 
 
-def read_labels(path: str | Path) -> list[LabeledObject]:
+def read_jsonl(path: str | Path, parse) -> list:
+    """parse(record, where) over the non-blank lines of a JSON-lines file."""
     path = Path(path)
     out = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
-            rec = json.loads(line)
+            out.append(parse(json.loads(line), where))
         except json.JSONDecodeError as e:
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {e}") from e
-        try:
-            out.append(parse_label(rec, where=f"{path}:{lineno}"))
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from e
+            raise ParseError(f"{where}: invalid JSON: {e}") from e
+        except ValueError as e:  # a record the dataclasses reject
+            raise ParseError(f"{where}: {e}") from e
     return out
+
+
+def read_labels(path: str | Path) -> list[LabeledObject]:
+    return read_jsonl(path, parse_label)

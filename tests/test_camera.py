@@ -7,10 +7,10 @@ from gfk import CameraModel, DEFAULT_CAMERA, NonPositiveDepth, ParseError, wrap_
 from gfk.camera import (
     CamPoint,
     backproject,
+    calibration_to_json,
     load_calibration,
     observation_angle_to_yaw,
     project,
-    save_calibration,
     yaw_to_observation_angle,
 )
 
@@ -95,8 +95,12 @@ def test_observation_angle_depends_on_bearing():
 def test_calibration_roundtrip(tmp_path):
     cam = CameraModel(f_u=100.0, f_v=110.0, c_u=50.0, c_v=40.0, width=101, height=81)
     path = tmp_path / "calib.json"
-    save_calibration(cam, path)
+    path.write_text(calibration_to_json(cam))
     assert load_calibration(path) == cam
+    # the on-disk layout: one field per line, in declaration order
+    assert calibration_to_json(DEFAULT_CAMERA) == (
+        '{\n  "f_u": 2300.0,\n  "f_v": 2300.0,\n  "c_u": 640.0,\n  "c_v": 360.0,\n'
+        '  "width": 1280,\n  "height": 720\n}\n')
 
 
 def test_calibration_parse_errors(tmp_path):

@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gfk import io_cli
 from gfk.io_cli import main
 from gfk.io_cli import (
     DatasetLayout,
@@ -22,6 +28,8 @@ from gfk.io_cli import (
     load_run_config,
 )
 from gfk.errors import ConfigError, EmptyDataset, ParseError
+from gfk.camera import load_calibration
+from gfk.ripsim import GateConfig, default_gates
 
 
 BASE_CONFIG = {
@@ -90,6 +98,119 @@ def test_config_bad_value_carries_section(tmp_path):
         load_run_config(p)
 
 
+# Every accepted key, each set to its default: the config schema.
+ALL_DEFAULTS = {
+    "seed": 0,
+    "out_dir": "runs/out",
+    "dataset": {"dir": None, "frames": {"train": 0, "val": 0, "test": 0}},
+    "camera": {"f_u": 2300.0, "f_v": 2300.0, "c_u": 640.0, "c_v": 360.0,
+               "width": 1280, "height": 720},
+    "gates": [{"delay": g.delay, "gate_duration": g.gate_duration,
+               "pulse_duration": g.pulse_duration, "gate_amplitude": g.gate_amplitude,
+               "pulse_amplitude": g.pulse_amplitude, "attenuation_gamma": g.attenuation_gamma,
+               "inverse_square": g.inverse_square} for g in default_gates()],
+    "noise": {"read_noise_sigma": 2.0, "photon_scale": 20.0, "enable_clipping": True,
+              "full_scale": 1023},
+    "scene": {"classes": ["Car", "Pedestrian"], "min_objects": 1, "max_objects": 4,
+              "z_range": [5.0, 85.0], "ground_y": 1.65, "ground_y_jitter": 0.0,
+              "albedo_range": [0.2, 0.9], "x_margin": 0.85, "background_albedo": 0.0,
+              "background_range": 150.0, "max_retries": 100},
+    "codec": {"k": 2.0},
+    "train": {"hidden_sizes": [64, 64], "epochs": 40, "batch_size": 64,
+              "learning_rate": 3e-3, "alpha": 1.0, "beta": 1.0, "smooth_l1_delta": 1.0,
+              "ablate_intensity": False},
+    "eval": {"iou_thresholds": {"Car": 0.2, "Pedestrian": 0.1},
+             "bins": [[0.0, 30.0], [30.0, 50.0], [50.0, 80.0]]},
+    "predict": {"split": "test", "perturb": 0.0},
+}
+
+
+def _load(tmp_path, payload, name="run.json", **overrides):
+    p = tmp_path / name
+    p.write_text(json.dumps(payload))
+    return load_run_config(p, **overrides)
+
+
+def test_config_schema_lists_every_key_with_its_default(tmp_path):
+    empty = _load(tmp_path, {}, "empty.json")
+    assert _load(tmp_path, ALL_DEFAULTS) == empty
+    # null means the default, for every key and every section
+    nulls = {sec: {k: None for k in val} if isinstance(val, dict) else None
+             for sec, val in ALL_DEFAULTS.items()}
+    nulls["camera"] = None  # a given camera must set all of its keys
+    assert _load(tmp_path, nulls, "nulls.json") == empty
+
+
+@pytest.mark.parametrize("section,key", [("train", "beta1"), ("train", "eps"),
+                                         ("eval", "n_recall"), ("scene", "camera")])
+def test_config_dataclass_fields_outside_the_schema_are_unknown(tmp_path, section, key):
+    with pytest.raises(ConfigError, match=f"{section}.{key}: unknown field"):
+        _load(tmp_path, {section: {key: ALL_DEFAULTS["camera"]}})
+
+
+def _gates(**first):
+    gates = json.loads(json.dumps(ALL_DEFAULTS["gates"]))
+    gates[0].update(first)
+    return gates
+
+
+@pytest.mark.parametrize("overrides,seed_override,where", [
+    ({"train": {"ablate_intensity": "false"}}, None, "train.ablate_intensity"),
+    ({"train": {"epochs": 2.7}}, None, "train.epochs"),
+    ({"train": {"epochs": True}}, None, "train.epochs"),
+    ({"noise": {"read_noise_sigma": math.nan}}, None, "noise.read_noise_sigma"),
+    ({"gates": _gates(delay=math.inf)}, None, "gates[0].delay"),
+    ({"codec": {"k": math.nan}}, None, "codec.k"),
+    ({"scene": {"z_range": [5, 70, 80]}}, None, "scene.z_range"),
+    ({"noise": 5}, None, "noise"),
+    ({"gates": [1, 2, 3]}, None, "gates[0]"),
+    ({"gates": _gates()[:2]}, None, "gates: expected a list of exactly 3"),
+    ({"scene": {"z_range": [5]}}, None, "scene.z_range"),
+    ({"eval": {"iou_thresholds": [0.2, 0.1]}}, None, "eval.iou_thresholds"),
+    ({"seed": -1}, None, "config.seed"),
+    ({}, -1, "--seed"),
+    ({"train": {"hidden_sizes": [16, 0]}}, None, "train"),
+])
+def test_config_rejects_malformed_values(tmp_path, capsys, overrides, seed_override, where):
+    p = write_config(tmp_path, overrides)
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_run_config(p, seed_override=seed_override)
+    seed_args = [] if seed_override is None else ["--seed", str(seed_override)]
+    assert main(["simulate", "--config", str(p), *seed_args]) == 1
+    assert capsys.readouterr().err.startswith(f"gfk-error: ConfigError: {where}")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+CONFIG_PATHS = [(sec,) for sec in ALL_DEFAULTS] + [
+    (sec, key) for sec, val in ALL_DEFAULTS.items() if isinstance(val, dict) for key in val
+] + [("gates", 0, key) for key in ALL_DEFAULTS["gates"][0]]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(CONFIG_PATHS), value=JSON_VALUES)
+def test_config_any_value_parses_or_raises_config_error(tmp_path, path, value):
+    payload = json.loads(json.dumps(ALL_DEFAULTS))
+    target = payload
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(payload))
+    try:
+        load_run_config(p)
+    except ConfigError:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["simulate", "--config", str(p)]) == 1
+        assert err.getvalue().startswith("gfk-error: ConfigError: ")
+
+
 def test_config_unknown_class(tmp_path):
     p = write_config(tmp_path, {"scene": {"classes": ["Car", "Bollard"]}})
     with pytest.raises(ConfigError, match="Bollard"):
@@ -144,8 +265,21 @@ def test_simulate_layout_and_manifest(tmp_path):
         arr = layout.load_slices(fid)
         assert arr.shape == (3, 90, 160)
         assert layout.labels_path(fid).exists()
-    assert layout.calibration_path.exists()
-    assert layout.gates_path.exists()
+    assert load_calibration(layout.calibration_path) == cfg.camera
+    gates = json.loads(layout.gates_path.read_text())
+    assert tuple(GateConfig(**rec) for rec in gates) == cfg.gates
+
+
+def test_simulate_writes_every_file_atomically(tmp_path, monkeypatch):
+    written = []
+    write = io_cli.atomic_write_bytes
+    monkeypatch.setattr(io_cli, "atomic_write_bytes",
+                        lambda path, data: (written.append(path), write(path, data)))
+    cfg = load_run_config(write_config(tmp_path))
+    cmd_simulate(cfg)
+    files = sorted(p for p in cfg.dataset_dir.rglob("*") if p.is_file())
+    assert cfg.dataset_dir / "calibration.json" in files
+    assert sorted(written) == files
 
 
 def test_simulate_requires_clipping(tmp_path):
@@ -242,6 +376,25 @@ def test_predict_with_perturbation_deterministic(tmp_path):
     first = cfg.predictions_path.read_bytes()
     cmd_predict(cfg)
     assert cfg.predictions_path.read_bytes() == first
+
+
+@pytest.mark.parametrize("edit", [
+    lambda car: car.pop("dim_mean"),
+    lambda car: car.update(sigma_h=-1.0),
+    lambda car: car.update(dim_mean=[1.5, "tall", 4.0]),
+], ids=["missing-dim_mean", "negative-sigma_h", "non-numeric-dim_mean"])
+def test_predict_bad_meta_classes_is_model_parse_error(tmp_path, capsys, edit):
+    p = write_config(tmp_path, {"train": {"epochs": 1}})
+    cfg = load_run_config(p)
+    cmd_simulate(cfg)
+    cmd_train(cfg)
+    model = json.loads(cfg.model_path.read_text())
+    edit(model["meta"]["classes"]["Car"])
+    cfg.model_path.write_text(json.dumps(model))
+    assert main(["predict", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gfk-error: ModelParseError: ")
+    assert "meta.classes" in err
 
 
 def test_atomic_write_no_temp_left(tmp_path):

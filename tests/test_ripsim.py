@@ -12,18 +12,15 @@ from gfk import (
     NOISELESS,
     NegativeRange,
     NoiseConfig,
-    ParseError,
     SPEED_OF_LIGHT,
     build_rip_tables,
     default_gates,
     depth_from_ratios,
-    load_gates,
     measure_pixel,
     render_frame,
     rip_value,
-    save_gates,
 )
-from gfk.ripsim import RipTable, _measure_array, gates_to_json
+from gfk.ripsim import RipTable, _measure_array
 from gfk.scene import Box3D, SceneDescription, SceneObject
 
 from oracles import quad_rip
@@ -339,22 +336,3 @@ def test_normalized_ratio_vector_injective_at_working_resolution():
         if np.any(far):
             min_sep = min(min_sep, d[far].min())
     assert min_sep > 1e-4
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_gates_json_roundtrip(tmp_path):
-    gates = default_gates()
-    p = tmp_path / "gates.json"
-    save_gates(gates, p)
-    assert load_gates(p) == gates
-
-
-def test_gates_json_rejects_wrong_count(tmp_path):
-    gates = default_gates()
-    payload = gates_to_json(gates[:2])
-    p = tmp_path / "two.json"
-    p.write_text(payload)
-    with pytest.raises(ParseError):
-        load_gates(p)
