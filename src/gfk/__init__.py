@@ -49,9 +49,7 @@ from .regressor import (
     extract_features,
     forward,
     init_params,
-    load_model,
     predict,
-    save_model,
     train,
 )
 from .ripsim import (

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import NonPositiveDepth, ParseError
+from .records import FieldError, build, parse_json
 
 
 def wrap_to_pi(angle: float) -> float:
@@ -118,17 +119,6 @@ def calibration_to_json(cam: CameraModel) -> str:
 def load_calibration(path: str | Path) -> CameraModel:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
-    try:
-        return CameraModel(
-            f_u=float(payload["f_u"]),
-            f_v=float(payload["f_v"]),
-            c_u=float(payload["c_u"]),
-            c_v=float(payload["c_v"]),
-            width=int(payload["width"]),
-            height=int(payload["height"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{path}: bad calibration: {e}") from e
+        return build(CameraModel, parse_json(path.read_text()))
+    except FieldError as e:
+        raise ParseError(f"{path}: {e}") from None

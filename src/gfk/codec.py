@@ -32,7 +32,8 @@ from .camera import (
     yaw_to_observation_angle,
 )
 from .errors import DegenerateBox, InvalidStats, NonPositiveDepth, NonPositiveDimension, ParseError
-from .scene import Box2D, Box3D, ObjectClass, read_jsonl
+from .records import FieldError, get, read_jsonl
+from .scene import Box2D, Box3D, ObjectClass, box_record, parse_box
 
 # Half-width of the height sweep in sigmas.
 K_DEFAULT = 2.0
@@ -154,36 +155,13 @@ def decode(q: FrustumCode, p: Box2D, stats: ObjectClass, k: float, cam: CameraMo
 # ---------------------------------------------------------------------------
 # prediction files: one JSON object per line
 
-def prediction_record(frame_id: str, b: Box3D, p: Box2D, q: FrustumCode) -> dict:
-    return {
-        "frame": frame_id,
-        "class": b.cls,
-        "x": b.x, "y": b.y, "z": b.z,
-        "h": b.h, "w": b.w, "l": b.l,
-        "yaw": b.yaw,
-        "score": b.score,
-        "box2d": [p.u, p.v, p.w_u, p.h_v],
-        "code": list(q.as_array()),
-    }
-
-
-def parse_prediction(rec: dict, where: str = "prediction") -> tuple[str, Box3D, Box2D, FrustumCode]:
+def parse_prediction(rec, where: str = "prediction") -> tuple[str, Box3D, Box2D, FrustumCode]:
     try:
-        frame_id = str(rec["frame"])
-        cls = str(rec["class"])
-        box = Box3D(
-            cls=cls,
-            x=float(rec["x"]), y=float(rec["y"]), z=float(rec["z"]),
-            h=float(rec["h"]), w=float(rec["w"]), l=float(rec["l"]),
-            yaw=float(rec["yaw"]),
-            score=float(rec["score"]),
-        )
-        u, v, w_u, h_v = (float(t) for t in rec["box2d"])
-        box2d = Box2D(cls=cls, u=u, v=v, w_u=w_u, h_v=h_v, score=float(rec["score"]))
-        code = FrustumCode.from_array(rec["code"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{where}: missing or malformed field: {e}") from e
-    return frame_id, box, box2d, code
+        box, box2d = parse_box(rec, get(rec, "score", float))
+        code = FrustumCode(*get(rec, "code", tuple[(float,) * 8]))
+        return get(rec, "frame", str), box, box2d, code
+    except FieldError as e:
+        raise ParseError(f"{where}: {e}") from None
 
 
 def read_predictions(path) -> list[tuple[str, Box3D, Box2D, FrustumCode]]:
@@ -192,5 +170,6 @@ def read_predictions(path) -> list[tuple[str, Box3D, Box2D, FrustumCode]]:
 
 def predictions_to_jsonl(rows: Iterable[tuple[str, Box3D, Box2D, FrustumCode]]) -> str:
     return "".join(
-        json.dumps(prediction_record(fid, b, p, q)) + "\n" for fid, b, p, q in rows
+        json.dumps({"frame": fid, **box_record(b, p, score=b.score), "code": list(q.as_array())})
+        + "\n" for fid, b, p, q in rows
     )

@@ -22,17 +22,16 @@ without changing the output.
 from __future__ import annotations
 
 import argparse
-import collections.abc
 import json
 import logging
 import math
 import os
 import sys
-import typing
+import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .errors import (ConfigError, EmptyDataset, FullyOutOfImage, GfkError, Model
                      ParseError)
 from .eval import EvalConfig, EvalReport, bev_svg, evaluate
 from .loss import CodeTargets, LossWeights
+from .records import FieldError, build, convert, get, parse_json, read_jsonl
 from .regressor import (
     FEATURE_SIZE,
     INTENSITY_FEATURES,
@@ -100,9 +100,14 @@ def gfk_threads() -> int:
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    """Write data to a temp file unique to this call, then rename it onto path."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -170,18 +175,17 @@ def write_manifest(layout: DatasetLayout, seed: int, splits: dict[str, list[str]
 def load_manifest(layout: DatasetLayout) -> Manifest:
     path = layout.manifest_path
     try:
-        payload = json.loads(path.read_text())
+        payload = parse_json(path.read_text())
+        splits = get(payload, "splits", Mapping[str, tuple[str, ...]])
+        classes = class_stats_from_json(get(payload, "classes", Mapping[str, dict], {}),
+                                        "classes")
+        return Manifest(seed=get(payload, "seed", int),
+                        splits={s: list(splits.get(s, ())) for s in SPLITS},
+                        classes=classes or dict(DEFAULT_CLASSES))
     except FileNotFoundError:
         raise EmptyDataset(f"{layout.root}: no manifest.json; run simulate first") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
-    try:
-        splits = {s: [str(f) for f in payload["splits"].get(s, [])] for s in SPLITS}
-        classes = class_stats_from_json(payload.get("classes", {}), f"{path}: classes")
-        return Manifest(seed=int(payload["seed"]), splits=splits,
-                        classes=classes or dict(DEFAULT_CLASSES))
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{path}: bad manifest: {e}") from e
+    except FieldError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def frame_index(frame_id: str) -> int:
@@ -250,86 +254,29 @@ def _field_names(cls, *skip: str) -> tuple[str, ...]:
 
 
 # The keys of each object section of a run config. A section that exposes
-# every field of its dataclass takes its keys from that dataclass.
-TRAIN_KEYS = ("hidden_sizes", "epochs", "batch_size", "learning_rate")
-EVAL_KEYS = ("iou_thresholds", "bins")
+# every field of its dataclass takes its keys from that dataclass; a field a
+# section does not list (train.beta1, eval.n_recall, ...) keeps its default.
 SECTIONS = {
     "dataset": ("dir", "frames"),
     "camera": _field_names(CameraModel),
     "noise": _field_names(NoiseConfig),
     "scene": _field_names(SceneConfig, "camera"),
     "codec": ("k",),
-    "train": TRAIN_KEYS + _field_names(LossWeights) + ("ablate_intensity",),
-    "eval": EVAL_KEYS,
+    "train": ("hidden_sizes", "epochs", "batch_size", "learning_rate",
+              *_field_names(LossWeights), "ablate_intensity"),
+    "eval": ("iou_thresholds", "bins"),
     "predict": ("split", "perturb"),
 }
-_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
-
-
-def _convert(value, tp, where: str):
-    """A JSON value checked against the type hint tp and converted to it.
-
-    Booleans are not numbers, counts must be integers, numbers must be finite.
-    """
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"{where}: expected {len(args)} items, got {len(value)}")
-        return tuple(_convert(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
-    if origin is collections.abc.Mapping:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}: expected an object, got {value!r}")
-        return {k: _convert(v, args[1], f"{where}.{k}") for k, v in value.items()}
-    if tp is float:
-        # exact for integers of any size, and false for NaN and the infinities
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif type(value) is tp:  # bool, int or str; a JSON boolean is not an int here
-        return value
-    raise ConfigError(f"{where}: expected {_EXPECTED[tp]}, got {value!r}")
 
 
 def _section(value, where: str, keys: Sequence[str]) -> dict:
     """A config section: a JSON object holding only the given keys; null is {}."""
     if value is None:
         return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {value!r}")
-    unknown = sorted(set(value) - set(keys))
+    unknown = sorted(set(convert(value, dict, where)) - set(keys))
     if unknown:
         raise ConfigError(f"{where}.{unknown[0]}: unknown field")
     return value
-
-
-def _get(section: dict, key: str, where: str, tp, default):
-    value = section.get(key)
-    return default if value is None else _convert(value, tp, f"{where}.{key}")
-
-
-def _build(cls, section: dict, where: str, keys: Sequence[str] | None = None, **given):
-    """An instance of the dataclass cls read from one config section.
-
-    The fields named in keys (by default every field not in given) are read
-    from section and typed by cls's type hints; an absent or null value, like
-    any field in neither keys nor given, keeps the dataclass default.
-    """
-    hints = typing.get_type_hints(cls)
-    for f in fields(cls):
-        if f.name in given or (keys is not None and f.name not in keys):
-            continue
-        value = section.get(f.name)
-        if value is not None:
-            given[f.name] = _convert(value, hints[f.name], f"{where}.{f.name}")
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where}.{f.name}: required field missing")
-    try:
-        return cls(**given)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from e
 
 
 def load_run_config(path: str | Path, seed_override: int | None = None,
@@ -341,41 +288,43 @@ def load_run_config(path: str | Path, seed_override: int | None = None,
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        return _run_config(parse_json(path.read_text(), str(path)), path.parent,
+                           seed_override, out_override)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    _section(payload, "config", ("seed", "out_dir", "gates", *SECTIONS))
-    sec = {name: _section(payload.get(name), name, keys) for name, keys in SECTIONS.items()}
-    base = path.parent
+    except FieldError as e:
+        raise ConfigError(str(e)) from None
 
-    seed = seed_override if seed_override is not None else _get(payload, "seed", "config", int, 0)
+
+def _run_config(payload, base: Path, seed_override: int | None,
+                out_override: str | Path | None) -> RunConfig:
+    payload = _section(payload, "config", ("seed", "out_dir", "gates", *SECTIONS))
+    sec = {name: _section(payload.get(name), name, keys) for name, keys in SECTIONS.items()}
+
+    seed = seed_override if seed_override is not None else get(payload, "seed", int, 0, "config")
     if seed < 0:
         where = "config.seed" if seed_override is None else "--seed"
         raise ConfigError(f"{where}: must be >= 0, got {seed}")
 
-    out_raw = out_override if out_override is not None else _get(payload, "out_dir", "config",
-                                                                 str, "runs/out")
+    out_raw = out_override if out_override is not None else get(payload, "out_dir", str,
+                                                                "runs/out", "config")
     out_dir = Path(out_raw)
     if not out_dir.is_absolute() and out_override is None:
         out_dir = base / out_dir
 
-    ds_dir_raw = _get(sec["dataset"], "dir", "dataset", str, None)
+    ds_dir_raw = get(sec["dataset"], "dir", str, None, "dataset")
     dataset_dir = Path(ds_dir_raw) if ds_dir_raw else out_dir / "dataset"
     if ds_dir_raw and not dataset_dir.is_absolute():
         dataset_dir = base / dataset_dir
     frames_sec = _section(sec["dataset"].get("frames"), "dataset.frames", SPLITS)
-    frames = {s: _get(frames_sec, s, "dataset.frames", int, 0) for s in SPLITS}
+    frames = {s: get(frames_sec, s, int, 0, "dataset.frames") for s in SPLITS}
     for s, n in frames.items():
         if n < 0:
             raise ConfigError(f"dataset.frames.{s}: must be >= 0, got {n}")
 
     camera = DEFAULT_CAMERA
     if payload.get("camera") is not None:
-        camera = _build(CameraModel, sec["camera"], "camera")
+        camera = build(CameraModel, sec["camera"], "camera")
 
     gates = payload.get("gates")
     if gates is None:
@@ -383,24 +332,24 @@ def load_run_config(path: str | Path, seed_override: int | None = None,
     elif not isinstance(gates, list) or len(gates) != 3:
         raise ConfigError("gates: expected a list of exactly 3 gate objects")
     else:
-        gates = tuple(_build(GateConfig, _section(rec, f"gates[{i}]", _field_names(GateConfig)),
-                             f"gates[{i}]") for i, rec in enumerate(gates))
+        gates = tuple(build(GateConfig, _section(rec, f"gates[{i}]", _field_names(GateConfig)),
+                            f"gates[{i}]") for i, rec in enumerate(gates))
 
-    class_names = _get(sec["scene"], "classes", "scene", tuple[str, ...], tuple(DEFAULT_CLASSES))
+    class_names = get(sec["scene"], "classes", tuple[str, ...], tuple(DEFAULT_CLASSES), "scene")
     for name in class_names:
         if name not in DEFAULT_CLASSES:
             raise ConfigError(f"scene.classes: unknown class {name!r}")
-    scene_cfg = _build(SceneConfig, sec["scene"], "scene", camera=camera,
-                       classes=tuple(DEFAULT_CLASSES[name] for name in class_names))
+    scene_cfg = build(SceneConfig, sec["scene"], "scene", camera=camera,
+                      classes=tuple(DEFAULT_CLASSES[name] for name in class_names))
 
-    codec_k = _get(sec["codec"], "k", "codec", float, K_DEFAULT)
+    codec_k = get(sec["codec"], "k", float, K_DEFAULT, "codec")
     if codec_k <= 0:
         raise ConfigError(f"codec.k: must be positive, got {codec_k}")
 
-    split = _get(sec["predict"], "split", "predict", str, "test")
+    split = get(sec["predict"], "split", str, "test", "predict")
     if split not in SPLITS:
         raise ConfigError(f"predict.split: must be one of {SPLITS}, got {split!r}")
-    perturb = _get(sec["predict"], "perturb", "predict", float, 0.0)
+    perturb = get(sec["predict"], "perturb", float, 0.0, "predict")
     if perturb < 0:
         raise ConfigError(f"predict.perturb: must be >= 0, got {perturb}")
 
@@ -411,13 +360,13 @@ def load_run_config(path: str | Path, seed_override: int | None = None,
         frames=frames,
         camera=camera,
         gates=gates,
-        noise=_build(NoiseConfig, sec["noise"], "noise"),
+        noise=build(NoiseConfig, sec["noise"], "noise"),
         scene=scene_cfg,
         codec_k=codec_k,
-        train_cfg=_build(TrainConfig, sec["train"], "train", keys=TRAIN_KEYS, seed=seed,
-                         loss=_build(LossWeights, sec["train"], "train")),
-        ablate_intensity=_get(sec["train"], "ablate_intensity", "train", bool, False),
-        eval_cfg=_build(EvalConfig, sec["eval"], "eval", keys=EVAL_KEYS),
+        train_cfg=build(TrainConfig, sec["train"], "train", seed=seed,
+                        loss=build(LossWeights, sec["train"], "train")),
+        ablate_intensity=get(sec["train"], "ablate_intensity", bool, False, "train"),
+        eval_cfg=build(EvalConfig, sec["eval"], "eval"),
         predict_split=split,
         perturb_2d=perturb,
     )
@@ -446,7 +395,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
             jobs.append((fid, idx))
             idx += 1
 
-    def build(job) -> bool:
+    def make_frame(job) -> bool:
         fid, index = job
         scene_rng = np.random.default_rng(_substream(cfg.seed, index, 0))
         scn = sample_scene(cfg.scene, scene_rng, frame_id=fid)
@@ -470,9 +419,9 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     threads = min(gfk_threads(), len(jobs))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            warnings = list(pool.map(build, jobs))
+            warnings = list(pool.map(make_frame, jobs))
     else:
-        warnings = [build(j) for j in jobs]
+        warnings = [make_frame(j) for j in jobs]
 
     atomic_write_text(layout.calibration_path, calibration_to_json(cfg.camera))
     atomic_write_text(layout.gates_path, gates_to_json(cfg.gates))
@@ -543,23 +492,21 @@ def cmd_train(cfg: RunConfig) -> dict:
     }
 
 
-def _meta_classes(meta: dict, fallback: dict[str, ObjectClass],
-                  where: str) -> dict[str, ObjectClass]:
-    recs = meta.get("classes")
-    if not recs:
-        return dict(fallback)
-    return class_stats_from_json(recs, f"{where}: meta.classes", ModelParseError)
-
-
 def cmd_predict(cfg: RunConfig) -> dict:
     layout = DatasetLayout(cfg.dataset_dir)
     manifest = load_manifest(layout)
     cam = load_calibration(layout.calibration_path)
     params, meta = parse_model(cfg.model_path.read_text(), where=str(cfg.model_path))
-    k = float(meta.get("k", cfg.codec_k))
-    mask = meta.get("feature_mask")
-    mask = None if mask is None else np.asarray(mask, dtype=np.float64)
-    classes = _meta_classes(meta, manifest.classes, str(cfg.model_path))
+    try:  # the codec k, feature mask and class stats the model was trained with
+        k = get(meta, "k", float, cfg.codec_k, "meta")
+        if k <= 0:
+            raise FieldError(f"must be positive, got {k}", "meta.k")
+        mask = get(meta, "feature_mask", tuple[(float,) * FEATURE_SIZE], None, "meta")
+        classes = class_stats_from_json(get(meta, "classes", Mapping[str, dict], {}, "meta"),
+                                        "meta.classes") or dict(manifest.classes)
+    except FieldError as e:
+        raise ModelParseError(f"{cfg.model_path}: {e}") from None
+    mask = None if mask is None else np.array(mask)
 
     frame_ids = manifest.splits[cfg.predict_split]
     rows = []
@@ -610,43 +557,32 @@ def cmd_codec_check(cfg: RunConfig) -> dict:
     manifest = load_manifest(layout)
     cam = load_calibration(layout.calibration_path)
     k = cfg.codec_k
-    worst = {"position": 0.0, "dimension": 0.0, "yaw": 0.0}
-    dz_values: list[float] = []
     record_errors: list[dict] = []
-    n_boxes = 0
-    all_ids = [fid for s in SPLITS for fid in manifest.splits[s]]
-    for fid in all_ids:
-        path = layout.labels_path(fid)
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-                obj = parse_label(rec, where=where)
-                st = manifest.classes.get(obj.box.cls)
-                if st is None:
-                    raise ParseError(f"{where}: unknown class {obj.box.cls!r}")
-                code = encode(obj.box, obj.box2d, st, k, cam)
-                back = decode(code, obj.box2d, st, k, cam)
-            except (GfkError, ValueError) as e:
-                record_errors.append({"frame": fid, "line": lineno,
-                                      "error": type(e).__name__, "message": str(e)})
-                continue
-            n_boxes += 1
-            dz_values.append(code.dz)
-            b = obj.box
-            worst["position"] = max(worst["position"], abs(back.x - b.x),
-                                    abs(back.y - b.y), abs(back.z - b.z))
-            worst["dimension"] = max(worst["dimension"], abs(back.h - b.h),
-                                     abs(back.w - b.w), abs(back.l - b.l))
-            worst["yaw"] = max(worst["yaw"], abs(wrap_to_pi(back.yaw - b.yaw)))
-    dz = np.asarray(dz_values) if dz_values else np.zeros(0)
+
+    def round_trip(rec, where: str) -> tuple[float, float, float, float]:
+        """dz and the position, dimension and yaw errors of one label."""
+        b, p, _albedo = parse_label(rec, where)
+        st = manifest.classes.get(b.cls)
+        if st is None:
+            raise ParseError(f"{where}: unknown class {b.cls!r}")
+        code = encode(b, p, st, k, cam)
+        back = decode(code, p, st, k, cam)
+        return (code.dz, max(abs(back.x - b.x), abs(back.y - b.y), abs(back.z - b.z)),
+                max(abs(back.h - b.h), abs(back.w - b.w), abs(back.l - b.l)),
+                abs(wrap_to_pi(back.yaw - b.yaw)))
+
+    rows = []
+    for fid in (fid for s in SPLITS for fid in manifest.splits[s]):
+        def failed(lineno: int, e: Exception, fid: str = fid) -> None:
+            record_errors.append({"frame": fid, "line": lineno,
+                                  "error": type(e).__name__, "message": str(e)})
+        rows += read_jsonl(layout.labels_path(fid), round_trip, failed)
+    dz = np.array([row[0] for row in rows], dtype=np.float64)
     out = {
-        "boxes": n_boxes,
-        "max_position_error": worst["position"],
-        "max_dimension_error": worst["dimension"],
-        "max_yaw_error": worst["yaw"],
+        "boxes": len(rows),
+        "max_position_error": max((row[1] for row in rows), default=0.0),
+        "max_dimension_error": max((row[2] for row in rows), default=0.0),
+        "max_yaw_error": max((row[3] for row in rows), default=0.0),
         "dz": {
             "mean": float(dz.mean()) if dz.size else math.nan,
             "std": float(dz.std()) if dz.size else math.nan,

@@ -30,10 +30,6 @@ def encode_pgm(image: np.ndarray, maxval: int = 1023) -> bytes:
     return header + body
 
 
-def write_pgm(path: str | Path, image: np.ndarray, maxval: int = 1023) -> None:
-    Path(path).write_bytes(encode_pgm(image, maxval))
-
-
 def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     # skip whitespace and '#' comment lines
     n = len(data)

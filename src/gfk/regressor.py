@@ -22,7 +22,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ from .camera import CameraModel
 from .codec import FrustumCode, decode
 from .errors import EmptyDataset, GfkError, ModelParseError, ShapeMismatch
 from .loss import CodeTargets, LossWeights, _loss_batch
+from .records import FieldError, get, parse_json
 from .scene import Box2D, Box3D, ObjectClass
 
 logger = logging.getLogger(__name__)
@@ -328,37 +328,35 @@ def model_to_json(params: MlpParams, meta: dict | None = None) -> str:
 
 
 def parse_model(text: str, where: str = "model") -> tuple[MlpParams, dict]:
+    """Inverse of model_to_json: the network and the meta object as stored."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelParseError(f"{where}: invalid JSON: {e}") from e
-    try:
-        sizes = tuple(int(s) for s in payload["sizes"])
-        raw_w = payload["weights"]
-        raw_b = payload["biases"]
-        meta = dict(payload.get("meta", {}))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ModelParseError(f"{where}: missing or malformed field: {e}") from e
+        payload = parse_json(text)
+        sizes = get(payload, "sizes", tuple[int, ...])
+        raw_w = get(payload, "weights", list)
+        raw_b = get(payload, "biases", list)
+        meta = get(payload, "meta", dict, {})
+    except FieldError as e:
+        raise ModelParseError(f"{where}: {e}") from None
     if len(sizes) < 2 or len(raw_w) != len(sizes) - 1 or len(raw_b) != len(sizes) - 1:
         raise ModelParseError(f"{where}: layer counts do not match sizes {sizes}")
+    if sizes[0] != FEATURE_SIZE or sizes[-1] != 8 or min(sizes) <= 0:
+        raise ModelParseError(f"{where}: sizes must be positive and map {FEATURE_SIZE} "
+                              f"features to 8 coefficients, got {sizes}")
     weights, biases = [], []
     for i in range(len(sizes) - 1):
-        w = np.asarray(raw_w[i], dtype=np.float64)
-        b = np.asarray(raw_b[i], dtype=np.float64)
-        if w.size != sizes[i + 1] * sizes[i] or b.size != sizes[i + 1]:
+        try:
+            w, b = np.asarray(raw_w[i]), np.asarray(raw_b[i])
+        except ValueError as e:  # ragged nesting
+            raise ModelParseError(f"{where}: layer {i}: {e}") from None
+        if w.shape != (sizes[i + 1] * sizes[i],) or b.shape != (sizes[i + 1],):
             raise ModelParseError(f"{where}: layer {i} has wrong parameter count")
-        weights.append(w.reshape(sizes[i + 1], sizes[i]))
-        biases.append(b)
+        # Weights are bulk arrays: one dtype and one finiteness check per layer.
+        if (w.dtype.kind not in "iuf" or b.dtype.kind not in "iuf"
+                or not (np.isfinite(w).all() and np.isfinite(b).all())):
+            raise ModelParseError(f"{where}: layer {i}: parameters must be finite numbers")
+        weights.append(w.astype(np.float64, copy=False).reshape(sizes[i + 1], sizes[i]))
+        biases.append(b.astype(np.float64, copy=False))
     return MlpParams(sizes=sizes, weights=weights, biases=biases), meta
-
-
-def save_model(path: str | Path, params: MlpParams, meta: dict | None = None) -> None:
-    Path(path).write_text(model_to_json(params, meta))
-
-
-def load_model(path: str | Path) -> tuple[MlpParams, dict]:
-    path = Path(path)
-    return parse_model(path.read_text(), where=str(path))
 
 
 def metrics_to_csv(history: Sequence[EpochStats]) -> str:

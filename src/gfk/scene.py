@@ -14,13 +14,14 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .camera import DEFAULT_CAMERA, CameraModel, CamPoint, project, wrap_to_pi
-from .errors import BehindCamera, FullyOutOfImage, GfkError, InvalidAlbedo, ParseError
+from .errors import BehindCamera, FullyOutOfImage, InvalidAlbedo, ParseError
 from .geometry import convex_intersection_area, rect_corners
+from .records import FieldError, build, get, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -59,17 +60,9 @@ def class_stats_to_json(classes: dict[str, ObjectClass]) -> dict:
     }
 
 
-def class_stats_from_json(recs, where: str,
-                          error: type[GfkError] = ParseError) -> dict[str, ObjectClass]:
-    """Inverse of class_stats_to_json; a malformed record raises `error` naming where."""
-    try:
-        return {
-            str(name): ObjectClass(str(name), tuple(float(d) for d in rec["dim_mean"]),
-                                   float(rec["sigma_h"]))
-            for name, rec in recs.items()
-        }
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise error(f"{where}: bad class record: {type(e).__name__}: {e}") from e
+def class_stats_from_json(recs: Mapping[str, dict], where: str) -> dict[str, ObjectClass]:
+    """Inverse of class_stats_to_json; a malformed record raises FieldError under where."""
+    return {name: build(ObjectClass, rec, (where, name), name=name) for name, rec in recs.items()}
 
 
 @dataclass(frozen=True)
@@ -312,54 +305,37 @@ class LabeledObject(NamedTuple):
     albedo: float
 
 
-def label_record(obj: LabeledObject) -> dict:
-    b, p = obj.box, obj.box2d
-    return {
-        "class": b.cls,
-        "x": b.x, "y": b.y, "z": b.z,
-        "h": b.h, "w": b.w, "l": b.l,
-        "yaw": b.yaw,
-        "box2d": [p.u, p.v, p.w_u, p.h_v],
-        "albedo": obj.albedo,
-    }
+def box_record(b: Box3D, p: Box2D, **after_yaw) -> dict:
+    """The JSON record of a 3D box and its 2D box, as in label and prediction files.
+
+    The after_yaw keys go between yaw and box2d: the key order is part of the
+    file bytes.
+    """
+    return {"class": b.cls, "x": b.x, "y": b.y, "z": b.z, "h": b.h, "w": b.w, "l": b.l,
+            "yaw": b.yaw, **after_yaw, "box2d": [p.u, p.v, p.w_u, p.h_v]}
 
 
-def parse_label(rec: dict, where: str = "label") -> LabeledObject:
+def parse_box(rec, score: float = 1.0) -> tuple[Box3D, Box2D]:
+    """Inverse of box_record, giving both boxes the score; raises FieldError."""
+    box = build(Box3D, rec, cls=get(rec, "class", str), score=score)
+    u, v, w_u, h_v = get(rec, "box2d", tuple[float, float, float, float])
     try:
-        cls = str(rec["class"])
-        box = Box3D(
-            cls=cls,
-            x=float(rec["x"]), y=float(rec["y"]), z=float(rec["z"]),
-            h=float(rec["h"]), w=float(rec["w"]), l=float(rec["l"]),
-            yaw=float(rec["yaw"]),
-        )
-        u, v, w_u, h_v = (float(t) for t in rec["box2d"])
-        box2d = Box2D(cls=cls, u=u, v=v, w_u=w_u, h_v=h_v)
-        albedo = float(rec["albedo"])
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"{where}: missing or malformed field: {e}") from e
-    return LabeledObject(box, box2d, albedo)
+        return box, Box2D(box.cls, u, v, w_u, h_v, score)
+    except ValueError as e:
+        raise FieldError(str(e), "box2d") from None
+
+
+def parse_label(rec, where: str = "label") -> LabeledObject:
+    try:
+        box, box2d = parse_box(rec)
+        return LabeledObject(box, box2d, get(rec, "albedo", float))
+    except FieldError as e:
+        raise ParseError(f"{where}: {e}") from None
 
 
 def labels_to_jsonl(objs: list[LabeledObject]) -> str:
-    return "".join(json.dumps(label_record(o)) + "\n" for o in objs)
-
-
-def read_jsonl(path: str | Path, parse) -> list:
-    """parse(record, where) over the non-blank lines of a JSON-lines file."""
-    path = Path(path)
-    out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            out.append(parse(json.loads(line), where))
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{where}: invalid JSON: {e}") from e
-        except ValueError as e:  # a record the dataclasses reject
-            raise ParseError(f"{where}: {e}") from e
-    return out
+    return "".join(json.dumps(box_record(o.box, o.box2d) | {"albedo": o.albedo}) + "\n"
+                   for o in objs)
 
 
 def read_labels(path: str | Path) -> list[LabeledObject]:

@@ -16,6 +16,7 @@ from gfk import io_cli
 from gfk.io_cli import main
 from gfk.io_cli import (
     DatasetLayout,
+    atomic_write_bytes,
     atomic_write_text,
     cmd_codec_check,
     cmd_eval,
@@ -361,6 +362,30 @@ def test_codec_check_lists_corrupted_records(tmp_path):
     assert out["max_position_error"] < 1e-9
 
 
+def test_codec_check_records_every_bad_line_and_goes_on(tmp_path):
+    cfg = load_run_config(write_config(tmp_path))
+    cmd_simulate(cfg)
+    layout = DatasetLayout(cfg.dataset_dir)
+    fid = next(f for f in load_manifest(layout).splits["train"]
+               if layout.labels_path(f).read_text())
+    lp = layout.labels_path(fid)
+    lines = lp.read_text().splitlines()
+    good = json.loads(lines[0])
+    healthy = cmd_codec_check(cfg)["boxes"]
+    lp.write_text("\n".join(lines + ["{not json", json.dumps(good | {"z": math.nan}),
+                                     json.dumps(good | {"class": "Bollard"})]) + "\n")
+    out = cmd_codec_check(cfg)
+    n = len(lines)
+    assert [(e["frame"], e["line"], e["error"]) for e in out["record_errors"]] == [
+        (fid, n + 1, "ParseError"), (fid, n + 2, "ParseError"), (fid, n + 3, "ParseError")]
+    messages = [e["message"] for e in out["record_errors"]]
+    assert "invalid JSON" in messages[0]
+    assert f"{lp}:{n + 2}: z: expected a finite number, got nan" in messages[1]
+    assert "unknown class 'Bollard'" in messages[2]
+    assert out["boxes"] == healthy
+    assert out["max_position_error"] < 1e-9
+
+
 def test_train_without_dataset(tmp_path):
     cfg = load_run_config(write_config(tmp_path))
     with pytest.raises(EmptyDataset):
@@ -402,6 +427,21 @@ def test_atomic_write_no_temp_left(tmp_path):
     atomic_write_text(target, "{}")
     assert target.read_text() == "{}"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_atomic_write_temp_name_is_unique_to_the_writer(tmp_path):
+    # a fixed "<name>.tmp" temp name failed here with IsADirectoryError
+    target = tmp_path / "x.json"
+    (tmp_path / "x.json.tmp").mkdir()
+    atomic_write_text(target, "{}")
+    assert target.read_text() == "{}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.json.tmp"]
+
+
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
+    with pytest.raises(TypeError):
+        atomic_write_bytes(tmp_path / "x.json", "not bytes")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

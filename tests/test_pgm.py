@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from gfk.errors import ParseError
-from gfk.pgm import encode_pgm, read_pgm, write_pgm
+from gfk.pgm import encode_pgm, read_pgm
 
 
 def test_roundtrip_uint16(tmp_path):
     rng = np.random.default_rng(0)
     img = rng.integers(0, 1024, size=(7, 5), dtype=np.uint16)
     p = tmp_path / "a.pgm"
-    write_pgm(p, img, 1023)
+    p.write_bytes(encode_pgm(img, 1023))
     back, maxval = read_pgm(p)
     assert maxval == 1023
     assert back.dtype == np.uint16
@@ -19,7 +19,7 @@ def test_roundtrip_uint16(tmp_path):
 def test_roundtrip_uint8(tmp_path):
     img = np.arange(12, dtype=np.uint8).reshape(3, 4)
     p = tmp_path / "b.pgm"
-    write_pgm(p, img, 255)
+    p.write_bytes(encode_pgm(img, 255))
     back, maxval = read_pgm(p)
     assert maxval == 255
     assert back.dtype == np.uint8

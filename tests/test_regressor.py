@@ -17,9 +17,7 @@ from gfk import (
     extract_features,
     forward,
     init_params,
-    load_model,
     predict,
-    save_model,
     train,
 )
 from gfk.codec import encode
@@ -247,12 +245,10 @@ def test_predict_unknown_class_skipped():
     assert out == []
 
 
-def test_model_json_roundtrip(tmp_path):
+def test_model_json_roundtrip():
     params = init_params(sizes=(24, 12, 8), seed=8)
     meta = {"k": 2.0, "feature_mask": None}
-    path = tmp_path / "model.json"
-    save_model(path, params, meta)
-    back, meta2 = load_model(path)
+    back, meta2 = parse_model(model_to_json(params, meta))
     assert meta2["k"] == 2.0
     assert [w.shape for w in back.weights] == [w.shape for w in params.weights]
     for a, b in zip(back.weights, params.weights):
