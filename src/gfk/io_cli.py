@@ -288,10 +288,13 @@ def load_run_config(path: str | Path, seed_override: int | None = None,
     """
     path = Path(path)
     try:
-        return _run_config(parse_json(path.read_text(), str(path)), path.parent,
-                           seed_override, out_override)
+        payload = parse_json(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file") from None
+    except FieldError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    try:
+        return _run_config(payload, path.parent, seed_override, out_override)
     except FieldError as e:
         raise ConfigError(str(e)) from None
 

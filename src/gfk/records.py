@@ -49,10 +49,9 @@ _REQUIRED = object()
 
 
 @functools.cache
-def _generic(tp) -> tuple[object, tuple, bool]:
-    """The origin and arguments of tp, and whether its items are all floats."""
-    args = typing.get_args(tp)
-    return typing.get_origin(tp), args, all(a is float or a is Ellipsis for a in args)
+def _generic(tp) -> tuple[object, tuple]:
+    """The origin and arguments of the type hint tp."""
+    return typing.get_origin(tp), typing.get_args(tp)
 
 
 def convert(value, tp, where: str | tuple = ""):
@@ -76,8 +75,6 @@ def convert(value, tp, where: str | tuple = ""):
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise FieldError(f"expected {len(args)} items, got {len(value)}", where)
-        if generic[2] and all(type(v) is float and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in value):
-            return tuple(value)  # the common case, without a call per item
         return tuple([convert(v, t, (where, i)) for i, (v, t) in enumerate(zip(value, args))])
     elif generic[0] is collections.abc.Mapping:
         if type(value) is not dict:
@@ -131,11 +128,11 @@ def build(cls, record, /, where: str | tuple = "", **given):
         raise FieldError(str(e), where) from None
 
 
-def parse_json(text: str, where: str = ""):
+def parse_json(text: str):
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
-        raise FieldError(f"invalid JSON: {e}", where) from None
+        raise FieldError(f"invalid JSON: {e}") from None
 
 
 def read_jsonl(path: str | Path, parse: Callable,

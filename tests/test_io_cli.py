@@ -438,9 +438,13 @@ def test_atomic_write_temp_name_is_unique_to_the_writer(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.json.tmp"]
 
 
-def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
-    with pytest.raises(TypeError):
-        atomic_write_bytes(tmp_path / "x.json", "not bytes")
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
+    def fail_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(io_cli.os, "replace", fail_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        atomic_write_bytes(tmp_path / "x.json", b"{}")
     assert list(tmp_path.iterdir()) == []
 
 
