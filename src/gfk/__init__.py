@@ -39,6 +39,7 @@ from .errors import (
     NonPositiveDimension,
     ParseError,
     ShapeMismatch,
+    TrainingDiverged,
 )
 from .eval import ApResult, EvalConfig, EvalReport, ap_40, evaluate, iou_2d, iou_3d, iou_bev
 from .loss import CodeTargets, LossBreakdown, LossWeights, loss_3d, smooth_l1

@@ -57,6 +57,10 @@ class EmptyDataset(GfkError):
     """Training requested on an empty sample list."""
 
 
+class TrainingDiverged(GfkError):
+    """A training loss became NaN or infinite; the message names epoch and step."""
+
+
 class ParseError(GfkError):
     """Malformed input file; message carries file and line where known."""
 

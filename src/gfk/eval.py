@@ -29,6 +29,7 @@ from .scene import Box2D, Box3D, read_labels
 logger = logging.getLogger(__name__)
 
 KINDS = ("2d", "bev", "3d")
+N_RECALL = 40
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class EvalConfig:
         default_factory=lambda: {"Car": 0.2, "Pedestrian": 0.1}
     )
     bins: tuple[tuple[float, float], ...] = ((0.0, 30.0), (30.0, 50.0), (50.0, 80.0))
-    n_recall: int = 40
     kinds: tuple[str, ...] = KINDS
 
     def __post_init__(self) -> None:
@@ -47,8 +47,6 @@ class EvalConfig:
         for lo, hi in self.bins:
             if not (0.0 <= lo < hi):
                 raise ValueError(f"bad bin ({lo}, {hi})")
-        if self.n_recall <= 0:
-            raise ValueError("n_recall must be positive")
         for kind in self.kinds:
             if kind not in KINDS:
                 raise ValueError(f"unknown metric kind {kind!r}")
@@ -92,34 +90,9 @@ class ApResult:
     n_matched: int
 
 
-def _greedy_match(dets, gts, iou_fn, threshold, det_frames, gt_frames):
-    """True/false positive flags for dets in descending score order.
-
-    Returns (order, tp_flags): order indexes into dets sorted by score.
-    """
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)  # stable on ties
-    taken = [False] * len(gts)
-    tp = [False] * len(dets)
-    for rank, di in enumerate(order):
-        best_iou = 0.0
-        best_j = -1
-        for j in range(len(gts)):
-            if taken[j] or det_frames[di] != gt_frames[j]:
-                continue
-            iou = iou_fn(dets[di], gts[j])
-            if iou >= threshold and iou > best_iou:  # strict > keeps the lowest gt index on ties
-                best_iou = iou
-                best_j = j
-        if best_j >= 0:
-            taken[best_j] = True
-            tp[rank] = True
-    return order, tp
-
-
 def ap_40(dets: Sequence, gts: Sequence, iou_fn: Callable, threshold: float,
-          det_frames: Sequence | None = None, gt_frames: Sequence | None = None,
-          n_recall: int = 40) -> ApResult:
-    """Average precision over n_recall evenly spaced recall positions.
+          det_frames: Sequence | None = None, gt_frames: Sequence | None = None) -> ApResult:
+    """Average precision over the N_RECALL evenly spaced recall positions.
 
     Boxes must expose .score. Without frame ids everything is matched in a
     single frame; with them, matches never cross frames.
@@ -137,17 +110,34 @@ def ap_40(dets: Sequence, gts: Sequence, iou_fn: Callable, threshold: float,
     if not dets:
         return ApResult(ap=0.0, n_gt=len(gts), n_det=0, n_matched=0)
 
-    _, tp = _greedy_match(dets, gts, iou_fn, threshold, det_frames, gt_frames)
+    # Greedy matching: tp[rank] flags the rank-th detection by descending score.
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)  # stable on ties
+    taken = [False] * len(gts)
+    tp = [False] * len(dets)
+    for rank, di in enumerate(order):
+        best_iou = 0.0
+        best_j = -1
+        for j in range(len(gts)):
+            if taken[j] or det_frames[di] != gt_frames[j]:
+                continue
+            iou = iou_fn(dets[di], gts[j])
+            if iou >= threshold and iou > best_iou:  # strict > keeps the lowest gt index on ties
+                best_iou = iou
+                best_j = j
+        if best_j >= 0:
+            taken[best_j] = True
+            tp[rank] = True
+
     cum_tp = np.cumsum(tp)
     ranks = np.arange(1, len(dets) + 1)
     recalls = cum_tp / len(gts)
     precisions = cum_tp / ranks
     ap = 0.0
-    for i in range(1, n_recall + 1):
-        r = i / n_recall
+    for i in range(1, N_RECALL + 1):
+        r = i / N_RECALL
         mask = recalls >= r - 1e-12
         ap += float(precisions[mask].max()) if np.any(mask) else 0.0
-    ap /= n_recall
+    ap /= N_RECALL
     return ApResult(
         ap=ap,
         n_gt=len(gts),
@@ -240,7 +230,6 @@ def evaluate(predictions_path, labels_by_frame: Mapping[str, Path | str],
                 cells[(cls, kind, lbl)] = ap_40(
                     boxes_d, boxes_g, iou_fns[kind], threshold,
                     det_frames=[r[0] for r in dets], gt_frames=[r[0] for r in gts],
-                    n_recall=cfg.n_recall,
                 )
     return EvalReport(cells=cells, classes=classes, kinds=cfg.kinds, bin_labels=labels)
 

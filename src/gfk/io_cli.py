@@ -255,7 +255,7 @@ def _field_names(cls, *skip: str) -> tuple[str, ...]:
 
 # The keys of each object section of a run config. A section that exposes
 # every field of its dataclass takes its keys from that dataclass; a field a
-# section does not list (train.beta1, eval.n_recall, ...) keeps its default.
+# section does not list (train.seed, eval.kinds, ...) keeps its default.
 SECTIONS = {
     "dataset": ("dir", "frames"),
     "camera": _field_names(CameraModel),
@@ -462,7 +462,7 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
             if feature_mask is not None:
                 x = x * feature_mask
             code = encode(obj.box, obj.box2d, st, k, cam)
-            samples.append(Sample(x, CodeTargets.from_code(code), obj.box2d))
+            samples.append(Sample(x, CodeTargets.from_code(code)))
     return samples
 
 

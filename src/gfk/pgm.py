@@ -68,12 +68,12 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     if w <= 0 or h <= 0 or not (0 < maxval < 65536):
         raise ParseError(f"{path}: bad header fields {w} {h} {maxval}")
     pos += 1  # single whitespace byte separates header from raster
-    dtype = ">u2" if maxval > 255 else np.uint8
-    count = w * h
-    raster = np.frombuffer(data, dtype=dtype, count=-1, offset=pos)
-    if raster.size != count:
-        raise ParseError(f"{path}: expected {count} pixels, found {raster.size}")
-    image = raster.reshape(h, w)
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    n_bytes = w * h * dtype.itemsize
+    if len(data) - pos != n_bytes:
+        raise ParseError(f"{path}: expected {n_bytes} raster bytes for {w}x{h} pixels, "
+                         f"found {max(len(data) - pos, 0)}")
+    image = np.frombuffer(data, dtype=dtype, offset=pos).reshape(h, w)
     if maxval > 255:
         image = image.astype(np.uint16)
     if image.max(initial=0) > maxval:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .camera import CameraModel
 from .codec import FrustumCode, decode
-from .errors import EmptyDataset, GfkError, ModelParseError, ShapeMismatch
+from .errors import EmptyDataset, GfkError, ModelParseError, ShapeMismatch, TrainingDiverged
 from .loss import CodeTargets, LossWeights, _loss_batch
 from .records import FieldError, get, parse_json
 from .scene import Box2D, Box3D, ObjectClass
@@ -91,17 +91,28 @@ def extract_features(frame, p: Box2D) -> np.ndarray:
 
 @dataclass(eq=False)
 class MlpParams:
-    """Dense network parameters; weights[i] has shape (sizes[i+1], sizes[i])."""
+    """Dense network parameters held in one float64 vector, zero on creation.
+
+    flat stores each layer's weights, row-major, then its biases, layer after
+    layer; weights[i] (shape (sizes[i+1], sizes[i])) and biases[i] are views
+    into it. Gradients and the Adam moments use the same layout.
+    """
 
     sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
-
-@dataclass(eq=False)
-class MlpGradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __post_init__(self) -> None:
+        pairs = list(zip(self.sizes[1:], self.sizes[:-1]))  # (n_out, n_in) per layer
+        self.flat = np.zeros(sum(n_out * (n_in + 1) for n_out, n_in in pairs))
+        self.weights, self.biases = [], []
+        pos = 0
+        for n_out, n_in in pairs:
+            self.weights.append(self.flat[pos : pos + n_out * n_in].reshape(n_out, n_in))
+            pos += n_out * n_in
+            self.biases.append(self.flat[pos : pos + n_out])
+            pos += n_out
 
 
 def init_params(sizes: Sequence[int] = (FEATURE_SIZE, 64, 64, 8), seed: int = 0) -> MlpParams:
@@ -110,12 +121,10 @@ def init_params(sizes: Sequence[int] = (FEATURE_SIZE, 64, 64, 8), seed: int = 0)
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
         raise ValueError(f"bad layer sizes {sizes}")
     rng = np.random.default_rng(seed)
-    weights = [
-        rng.normal(0.0, 1.0 / math.sqrt(sizes[i]), size=(sizes[i + 1], sizes[i]))
-        for i in range(len(sizes) - 1)
-    ]
-    biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-    return MlpParams(sizes=sizes, weights=weights, biases=biases)
+    params = MlpParams(sizes)
+    for w in params.weights:
+        w[:] = rng.normal(0.0, 1.0 / math.sqrt(w.shape[1]), size=w.shape)
+    return params
 
 
 def _forward_batch(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
@@ -128,19 +137,16 @@ def _forward_batch(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _backward_batch(params: MlpParams, acts: list[np.ndarray], d_out: np.ndarray) -> MlpGradients:
-    """Gradients summed over the batch, given d(loss)/d(output)."""
-    n_layers = len(params.weights)
-    gw: list[np.ndarray] = [np.empty(0)] * n_layers
-    gb: list[np.ndarray] = [np.empty(0)] * n_layers
+def _backward_batch(params: MlpParams, acts: list[np.ndarray], d_out: np.ndarray,
+                    grads: MlpParams) -> None:
+    """Write into grads the gradients summed over the batch, given d(loss)/d(output)."""
     dz = d_out
-    for i in reversed(range(n_layers)):
-        gw[i] = dz.T @ acts[i]
-        gb[i] = dz.sum(axis=0)
+    for i in reversed(range(len(params.weights))):
+        np.matmul(dz.T, acts[i], out=grads.weights[i])
+        dz.sum(axis=0, out=grads.biases[i])
         if i > 0:
             # acts[i] is the tanh output of layer i-1, so tanh' = 1 - acts^2
             dz = (dz @ params.weights[i]) * (1.0 - acts[i] ** 2)
-    return MlpGradients(weights=gw, biases=gb)
 
 
 def forward(params: MlpParams, x) -> FrustumCode:
@@ -151,16 +157,17 @@ def forward(params: MlpParams, x) -> FrustumCode:
     return FrustumCode.from_array(acts[-1][0])
 
 
-def backward(params: MlpParams, x, grad_output) -> MlpGradients:
-    """Parameter gradients for one input given d(loss)/d(code)."""
+def backward(params: MlpParams, x, grad_output) -> MlpParams:
+    """Parameter gradients for one input given d(loss)/d(code), laid out as params."""
     x = np.asarray(x, dtype=np.float64)
     grad_output = np.asarray(grad_output, dtype=np.float64)
     if x.shape != (params.sizes[0],):
         raise ShapeMismatch(f"expected input shape ({params.sizes[0]},), got {x.shape}")
     if grad_output.shape != (params.sizes[-1],):
         raise ShapeMismatch(f"expected gradient shape ({params.sizes[-1]},), got {grad_output.shape}")
-    acts = _forward_batch(params, x[None, :])
-    return _backward_batch(params, acts, grad_output[None, :])
+    grads = MlpParams(params.sizes)
+    _backward_batch(params, _forward_batch(params, x[None, :]), grad_output[None, :], grads)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +176,12 @@ def backward(params: MlpParams, x, grad_output) -> MlpGradients:
 class Sample(NamedTuple):
     features: np.ndarray
     targets: CodeTargets
-    box2d: Box2D
+
+
+# Adam moment decay rates and the denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -178,9 +190,6 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 64
     learning_rate: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     loss: LossWeights = field(default_factory=LossWeights)
 
@@ -207,10 +216,9 @@ class EpochStats:
     val_total: float = math.nan
 
 
-def _mean_loss(params: MlpParams, x: np.ndarray, t: np.ndarray, w: LossWeights) -> dict:
-    acts = _forward_batch(params, x)
-    parts, _ = _loss_batch(acts[-1], t, w)
-    return {k: float(v.mean()) for k, v in parts.items()}
+def _mean_loss(params: MlpParams, x: np.ndarray, t: np.ndarray, w: LossWeights) -> float:
+    parts, _ = _loss_batch(_forward_batch(params, x)[-1], t, w)
+    return float(parts["total"].mean())
 
 
 def train(dataset: Sequence[Sample], cfg: TrainConfig,
@@ -219,7 +227,8 @@ def train(dataset: Sequence[Sample], cfg: TrainConfig,
 
     Deterministic for a fixed config: parameter init and epoch shuffles run
     on seeds derived from cfg.seed. Returns the trained parameters and one
-    EpochStats per epoch (val_total is NaN when val_dataset is empty).
+    EpochStats per epoch (val_total is NaN when val_dataset is empty). Raises
+    TrainingDiverged as soon as a minibatch loss is not finite.
     """
     if len(dataset) == 0:
         raise EmptyDataset("no training samples")
@@ -236,10 +245,9 @@ def train(dataset: Sequence[Sample], cfg: TrainConfig,
     params = init_params(cfg.sizes, seed=init_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
-    m_w = [np.zeros_like(w) for w in params.weights]
-    v_w = [np.zeros_like(w) for w in params.weights]
-    m_b = [np.zeros_like(b) for b in params.biases]
-    v_b = [np.zeros_like(b) for b in params.biases]
+    grads = MlpParams(params.sizes)
+    m = np.zeros_like(params.flat)
+    v = np.zeros_like(params.flat)
     step = 0
     n = len(dataset)
     history: list[EpochStats] = []
@@ -253,21 +261,18 @@ def train(dataset: Sequence[Sample], cfg: TrainConfig,
             parts, d_out = _loss_batch(acts[-1], tb, cfg.loss)
             for key in sums:
                 sums[key] += float(parts[key].sum())
-            grads = _backward_batch(params, acts, d_out / len(idx))
             step += 1
-            bc1 = 1.0 - cfg.beta1**step
-            bc2 = 1.0 - cfg.beta2**step
-            for i in range(len(params.weights)):
-                for p_arr, g, m_arr, v_arr in (
-                    (params.weights[i], grads.weights[i], m_w[i], v_w[i]),
-                    (params.biases[i], grads.biases[i], m_b[i], v_b[i]),
-                ):
-                    m_arr += (1.0 - cfg.beta1) * (g - m_arr)
-                    v_arr += (1.0 - cfg.beta2) * (g * g - v_arr)
-                    p_arr -= cfg.learning_rate * (m_arr / bc1) / (np.sqrt(v_arr / bc2) + cfg.eps)
+            if not math.isfinite(sums["total"]):
+                raise TrainingDiverged(f"loss is {sums['total']} at epoch {epoch}, step {step}")
+            _backward_batch(params, acts, d_out / len(idx), grads)
+            g = grads.flat
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            params.flat -= (cfg.learning_rate * (m / (1.0 - ADAM_BETA1**step))
+                            / (np.sqrt(v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS))
         val_total = math.nan
         if x_val is not None:
-            val_total = _mean_loss(params, x_val, t_val, cfg.loss)["total"]
+            val_total = _mean_loss(params, x_val, t_val, cfg.loss)
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -342,7 +347,7 @@ def parse_model(text: str, where: str = "model") -> tuple[MlpParams, dict]:
     if sizes[0] != FEATURE_SIZE or sizes[-1] != 8 or min(sizes) <= 0:
         raise ModelParseError(f"{where}: sizes must be positive and map {FEATURE_SIZE} "
                               f"features to 8 coefficients, got {sizes}")
-    weights, biases = [], []
+    layers = []
     for i in range(len(sizes) - 1):
         try:
             w, b = np.asarray(raw_w[i]), np.asarray(raw_b[i])
@@ -354,9 +359,10 @@ def parse_model(text: str, where: str = "model") -> tuple[MlpParams, dict]:
         if (w.dtype.kind not in "iuf" or b.dtype.kind not in "iuf"
                 or not (np.isfinite(w).all() and np.isfinite(b).all())):
             raise ModelParseError(f"{where}: layer {i}: parameters must be finite numbers")
-        weights.append(w.astype(np.float64, copy=False).reshape(sizes[i + 1], sizes[i]))
-        biases.append(b.astype(np.float64, copy=False))
-    return MlpParams(sizes=sizes, weights=weights, biases=biases), meta
+        layers += [w, b]
+    params = MlpParams(sizes)  # allocated only once the stored counts match sizes
+    params.flat[:] = np.concatenate(layers)
+    return params, meta
 
 
 def metrics_to_csv(history: Sequence[EpochStats]) -> str:

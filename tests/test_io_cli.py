@@ -143,7 +143,8 @@ def test_config_schema_lists_every_key_with_its_default(tmp_path):
 
 
 @pytest.mark.parametrize("section,key", [("train", "beta1"), ("train", "eps"),
-                                         ("eval", "n_recall"), ("scene", "camera")])
+                                         ("eval", "n_recall"), ("scene", "camera"),
+                                         ("train", "seed"), ("eval", "kinds")])
 def test_config_dataclass_fields_outside_the_schema_are_unknown(tmp_path, section, key):
     with pytest.raises(ConfigError, match=f"{section}.{key}: unknown field"):
         _load(tmp_path, {section: {key: ALL_DEFAULTS["camera"]}})
@@ -390,6 +391,17 @@ def test_train_without_dataset(tmp_path):
     cfg = load_run_config(write_config(tmp_path))
     with pytest.raises(EmptyDataset):
         cmd_train(cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_train_stops_on_a_non_finite_loss(tmp_path, capsys):
+    p = write_config(tmp_path, {"train": {"learning_rate": 1e200}})
+    cfg = load_run_config(p)
+    cmd_simulate(cfg)
+    assert main(["train", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"gfk-error: TrainingDiverged: loss is (inf|nan) at epoch \d+, step \d+$", err)
+    assert not cfg.model_path.exists() and not cfg.metrics_path.exists()
 
 
 def test_predict_with_perturbation_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gfk.errors import ParseError
 from gfk.pgm import encode_pgm, read_pgm
@@ -62,12 +63,43 @@ def test_value_above_maxval_rejected():
     b"P5\n2 2\n255\n" + bytes(3),          # truncated pixels
     b"P5\n2 x\n255\n" + bytes(4),          # non-numeric dimension
     b"P5\n2 2\n",                          # missing maxval entirely
+    b"P5\n2 2\n255",                       # header ends right after maxval
+    b"P5\n1 2\n1023\n" + bytes(3),         # 16-bit raster with an odd byte count
 ])
 def test_parse_errors(tmp_path, raw):
     p = tmp_path / "bad.pgm"
     p.write_bytes(raw)
     with pytest.raises(ParseError):
         read_pgm(p)
+
+
+def _header(w, h, maxval, sep):
+    return b"P5\n%d %d\n%d" % (w, h, maxval) + sep
+
+
+# Random bytes, and headers of small or invalid fields followed by random bytes.
+PGM_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda head, body: head + body,
+              st.builds(_header, st.integers(-1, 4), st.integers(-1, 4),
+                        st.sampled_from([-1, 0, 1, 255, 256, 1023, 65535, 65536]),
+                        st.sampled_from([b"", b"\n", b" ", b"#c\n"])),
+              st.binary(max_size=40)),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=PGM_BYTES)
+def test_any_bytes_parse_or_raise_parse_error(tmp_path, raw):
+    p = tmp_path / "any.pgm"
+    p.write_bytes(raw)
+    try:
+        image, maxval = read_pgm(p)
+    except ParseError as e:
+        assert str(p) in str(e)
+        return
+    assert image.max(initial=0) <= maxval
 
 
 def test_pixel_above_declared_maxval(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gfk import (
     Sample,
     ShapeMismatch,
     TrainConfig,
+    TrainingDiverged,
     extract_features,
     forward,
     init_params,
@@ -28,6 +30,7 @@ from gfk.regressor import (
     GEOMETRY_FEATURES,
     INTENSITY_FEATURES,
     RATIO_FEATURES,
+    MlpParams,
     backward,
     metrics_to_csv,
     model_to_json,
@@ -44,6 +47,16 @@ def const_frame(v1, v2, v3, h=40, w=60):
 
 def centered_box(cls="Car", h=40, w=60):
     return Box2D(cls=cls, u=w / 2, v=h / 2, w_u=w / 2, h_v=h / 2)
+
+
+def small_dataset():
+    rng = np.random.default_rng(2)
+    return [Sample(rng.normal(size=FEATURE_SIZE),
+                   CodeTargets(*rng.normal(size=6) * 0.1, theta=rng.uniform(-3, 3)))
+            for _ in range(10)]
+
+
+SMALL_CFG = TrainConfig(hidden_sizes=(16,), epochs=5, batch_size=4, seed=3)
 
 
 def test_feature_vector_layout_constant_crop():
@@ -124,6 +137,11 @@ def test_init_params_shapes_and_determinism():
     b = init_params(sizes=(24, 32, 8), seed=9)
     assert [w.shape for w in a.weights] == [(32, 24), (8, 32)]
     assert [bb.shape for bb in a.biases] == [(32,), (8,)]
+    # one vector, each layer's row-major weights then its biases
+    assert a.flat.shape == (32 * 24 + 32 + 8 * 32 + 8,)
+    layers = [a.weights[0].ravel(), a.biases[0], a.weights[1].ravel(), a.biases[1]]
+    np.testing.assert_array_equal(a.flat, np.concatenate(layers))
+    assert all(np.shares_memory(arr, a.flat) for arr in a.weights + a.biases)
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
     c = init_params(sizes=(24, 32, 8), seed=10)
@@ -156,13 +174,14 @@ def test_backward_matches_finite_differences():
     fd = fd_gradient(loss_of, w0.ravel(), step=1e-6).reshape(5, 6)
     params.weights[0][:] = w0
     np.testing.assert_allclose(grads.weights[0], fd, rtol=2e-4, atol=1e-7)
+    assert isinstance(grads, MlpParams) and grads.flat.shape == params.flat.shape
 
 
 def test_train_overfits_one_sample():
     rng = np.random.default_rng(0)
     x = rng.normal(size=FEATURE_SIZE)
     t = CodeTargets(0.1, -0.2, 0.3, 0.05, -0.05, 0.1, 0.7)
-    ds = [Sample(x, t, centered_box())]
+    ds = [Sample(x, t)]
     cfg = TrainConfig(hidden_sizes=(32,), epochs=300, batch_size=1,
                       learning_rate=1e-2, seed=1)
     params, history = train(ds, cfg)
@@ -172,26 +191,33 @@ def test_train_overfits_one_sample():
 
 
 def test_train_deterministic():
-    rng = np.random.default_rng(2)
-    ds = [
-        Sample(rng.normal(size=FEATURE_SIZE),
-               CodeTargets(*rng.normal(size=6) * 0.1, theta=rng.uniform(-3, 3)),
-               centered_box())
-        for _ in range(10)
-    ]
-    cfg = TrainConfig(hidden_sizes=(16,), epochs=5, batch_size=4, seed=3)
-    p1, h1 = train(ds, cfg)
-    p2, h2 = train(ds, cfg)
-    for a, b in zip(p1.weights, p2.weights):
-        np.testing.assert_array_equal(a, b)
+    p1, h1 = train(small_dataset(), SMALL_CFG)
+    p2, h2 = train(small_dataset(), SMALL_CFG)
+    np.testing.assert_array_equal(p1.flat, p2.flat)
     assert h1 == h2
+
+
+def test_train_golden_fixture():
+    # final parameters and per-epoch losses of a fixed run, pinned so that a
+    # rewrite of the network or the optimizer cannot change trained values
+    golden = json.loads((Path(__file__).parent / "data" / "train_small_golden.json").read_text())
+    params, history = train(small_dataset(), SMALL_CFG)
+    np.testing.assert_allclose(params.flat, golden["flat"], rtol=0, atol=1e-12)
+    np.testing.assert_allclose([[h.loc, h.dim, h.ori, h.total] for h in history],
+                               golden["losses"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_train_stops_on_a_non_finite_loss():
+    cfg = TrainConfig(hidden_sizes=(16,), batch_size=4, learning_rate=1e200, seed=3)
+    with pytest.raises(TrainingDiverged, match=r"^loss is (inf|nan) at epoch 1, step 2$"):
+        train(small_dataset(), cfg)
 
 
 def test_train_validation_loss_reported():
     rng = np.random.default_rng(5)
     mk = lambda: Sample(rng.normal(size=FEATURE_SIZE),
-                        CodeTargets(0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5),
-                        centered_box())
+                        CodeTargets(0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5))
     params, history = train([mk() for _ in range(8)],
                             TrainConfig(hidden_sizes=(8,), epochs=3, seed=0),
                             val_dataset=[mk() for _ in range(4)])
@@ -213,7 +239,7 @@ def test_predict_decodes_boxes():
     frame = const_frame(200, 400, 100, h=720, w=1280)
     x = extract_features(frame, p2d)
     code = encode(b, p2d, CAR, 2.0, DEFAULT_CAMERA)
-    ds = [Sample(x, CodeTargets.from_code(code), p2d)]
+    ds = [Sample(x, CodeTargets.from_code(code))]
     params, _ = train(ds, TrainConfig(hidden_sizes=(16,), epochs=200,
                                       learning_rate=1e-2, batch_size=1, seed=0))
     out = predict(params, frame, [p2d], {"Car": CAR}, 2.0, DEFAULT_CAMERA)
@@ -251,10 +277,7 @@ def test_model_json_roundtrip():
     back, meta2 = parse_model(model_to_json(params, meta))
     assert meta2["k"] == 2.0
     assert [w.shape for w in back.weights] == [w.shape for w in params.weights]
-    for a, b in zip(back.weights, params.weights):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(back.biases, params.biases):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(back.flat, params.flat)
 
 
 def test_model_parse_errors():
@@ -273,8 +296,7 @@ def test_model_parse_errors():
 def test_metrics_csv_shape():
     rng = np.random.default_rng(1)
     ds = [Sample(rng.normal(size=FEATURE_SIZE),
-                 CodeTargets(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                 centered_box()) for _ in range(4)]
+                 CodeTargets(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)) for _ in range(4)]
     _, history = train(ds, TrainConfig(hidden_sizes=(8,), epochs=3, seed=0))
     text = metrics_to_csv(history)
     lines = text.strip().splitlines()
