@@ -54,7 +54,6 @@ from .regressor import (
     train,
 )
 from .ripsim import (
-    DEFAULT_NOISE,
     GateConfig,
     GatedFrame,
     NOISELESS,
@@ -64,7 +63,6 @@ from .ripsim import (
     build_rip_tables,
     default_gates,
     depth_from_ratios,
-    measure_pixel,
     render_frame,
     rip_value,
 )

@@ -15,8 +15,8 @@ A dataset directory looks like:
 All whole-file outputs are written to a temp file and renamed into place, so
 readers never observe a half-written artifact. Every random draw descends
 from the run seed through per-frame substreams, which makes simulate, train
-and predict byte-reproducible; GFK_THREADS may parallelize frame synthesis
-without changing the output.
+and predict byte-reproducible; GFK_THREADS sets how many workers synthesize
+frames without changing the output.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ SPLITS = ("train", "val", "test")
 
 
 def gfk_threads() -> int:
-    """Worker cap from the GFK_THREADS environment variable (default 1)."""
+    """Frame-synthesis workers, from the GFK_THREADS environment variable (default 1)."""
     raw = os.environ.get("GFK_THREADS", "1")
     try:
         n = int(raw)
@@ -177,11 +177,10 @@ def load_manifest(layout: DatasetLayout) -> Manifest:
     try:
         payload = parse_json(path.read_text())
         splits = get(payload, "splits", Mapping[str, tuple[str, ...]])
-        classes = class_stats_from_json(get(payload, "classes", Mapping[str, dict], {}),
-                                        "classes")
         return Manifest(seed=get(payload, "seed", int),
                         splits={s: list(splits.get(s, ())) for s in SPLITS},
-                        classes=classes or dict(DEFAULT_CLASSES))
+                        classes=class_stats_from_json(get(payload, "classes", Mapping[str, dict]),
+                                                      "classes"))
     except FileNotFoundError:
         raise EmptyDataset(f"{layout.root}: no manifest.json; run simulate first") from None
     except FieldError as e:
@@ -388,18 +387,14 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     layout = DatasetLayout(cfg.dataset_dir)
     layout.frames_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
-    idx = 0
-    splits: dict[str, list[str]] = {s: [] for s in SPLITS}
+    frame_ids = [f"frame_{index:06d}" for index in range(total)]
+    splits, start = {}, 0
     for split in SPLITS:
-        for _ in range(cfg.frames[split]):
-            fid = f"frame_{idx:06d}"
-            splits[split].append(fid)
-            jobs.append((fid, idx))
-            idx += 1
+        splits[split] = frame_ids[start : start + cfg.frames[split]]
+        start += cfg.frames[split]
 
-    def make_frame(job) -> bool:
-        fid, index = job
+    def make_frame(index: int) -> bool:
+        fid = frame_ids[index]
         scene_rng = np.random.default_rng(_substream(cfg.seed, index, 0))
         scn = sample_scene(cfg.scene, scene_rng, frame_id=fid)
         render_seed = int(_substream(cfg.seed, index, 1).generate_state(1)[0])
@@ -419,12 +414,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         atomic_write_text(layout.labels_path(fid), labels_to_jsonl(labeled))
         return scn.placement_warning
 
-    threads = min(gfk_threads(), len(jobs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            warnings = list(pool.map(make_frame, jobs))
-    else:
-        warnings = [make_frame(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=gfk_threads()) as pool:
+        warnings = list(pool.map(make_frame, range(total)))
 
     atomic_write_text(layout.calibration_path, calibration_to_json(cfg.camera))
     atomic_write_text(layout.gates_path, gates_to_json(cfg.gates))
@@ -501,12 +492,12 @@ def cmd_predict(cfg: RunConfig) -> dict:
     cam = load_calibration(layout.calibration_path)
     params, meta = parse_model(cfg.model_path.read_text(), where=str(cfg.model_path))
     try:  # the codec k, feature mask and class stats the model was trained with
-        k = get(meta, "k", float, cfg.codec_k, "meta")
+        k = get(meta, "k", float, where="meta")
         if k <= 0:
             raise FieldError(f"must be positive, got {k}", "meta.k")
         mask = get(meta, "feature_mask", tuple[(float,) * FEATURE_SIZE], None, "meta")
-        classes = class_stats_from_json(get(meta, "classes", Mapping[str, dict], {}, "meta"),
-                                        "meta.classes") or dict(manifest.classes)
+        classes = class_stats_from_json(get(meta, "classes", Mapping[str, dict], where="meta"),
+                                        "meta.classes")
     except FieldError as e:
         raise ModelParseError(f"{cfg.model_path}: {e}") from None
     mask = None if mask is None else np.array(mask)

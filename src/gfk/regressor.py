@@ -48,13 +48,12 @@ FULL_SCALE = 1023.0
 RATIO_SUM_THRESHOLD = 5.0
 
 
-def extract_features(frame, p: Box2D) -> np.ndarray:
-    """Feature vector for one 2D box over a gated frame.
+def extract_features(slices: np.ndarray, p: Box2D) -> np.ndarray:
+    """Feature vector for one 2D box over the (3, H, W) slices of a frame.
 
-    frame may be a GatedFrame or a bare (3, H, W) array. A box that misses
-    the image entirely yields zero crop statistics and a zero ratio triple.
+    Only the crop is cast to float64. A box that misses the image entirely
+    yields zero crop statistics and a zero ratio triple.
     """
-    slices = np.asarray(getattr(frame, "slices", frame), dtype=np.float64)
     if slices.ndim != 3 or slices.shape[0] != 3:
         raise ShapeMismatch(f"expected (3, H, W) slices, got {slices.shape}")
     _, img_h, img_w = slices.shape
@@ -72,7 +71,7 @@ def extract_features(frame, p: Box2D) -> np.ndarray:
     r1 = min(img_h, int(math.ceil(p.v + p.h_v / 2.0)))
     if c0 >= c1 or r0 >= r1:
         return x
-    crop = slices[:, r0:r1, c0:c1]
+    crop = np.asarray(slices[:, r0:r1, c0:c1], dtype=np.float64)
     means = crop.mean(axis=(1, 2))
     stds = crop.std(axis=(1, 2))
     for s in range(3):
@@ -217,7 +216,8 @@ class EpochStats:
 
 
 def _mean_loss(params: MlpParams, x: np.ndarray, t: np.ndarray, w: LossWeights) -> float:
-    parts, _ = _loss_batch(_forward_batch(params, x)[-1], t, w)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged loss is inf or NaN
+        parts, _ = _loss_batch(_forward_batch(params, x)[-1], t, w)
     return float(parts["total"].mean())
 
 
@@ -258,7 +258,8 @@ def train(dataset: Sequence[Sample], cfg: TrainConfig,
             idx = perm[start : start + cfg.batch_size]
             xb, tb = x[idx], t[idx]
             acts = _forward_batch(params, xb)
-            parts, d_out = _loss_batch(acts[-1], tb, cfg.loss)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                parts, d_out = _loss_batch(acts[-1], tb, cfg.loss)
             for key in sums:
                 sums[key] += float(parts[key].sum())
             step += 1
@@ -295,7 +296,7 @@ class PredictedBox(NamedTuple):
     code: FrustumCode
 
 
-def predict(params: MlpParams, frame, boxes2d: Sequence[Box2D],
+def predict(params: MlpParams, slices: np.ndarray, boxes2d: Sequence[Box2D],
             stats: dict[str, ObjectClass], k: float, cam: CameraModel,
             feature_mask: np.ndarray | None = None) -> list[PredictedBox]:
     """Decode one 3D box per 2D box; boxes that fail to decode are dropped
@@ -306,7 +307,7 @@ def predict(params: MlpParams, frame, boxes2d: Sequence[Box2D],
         if st is None:
             logger.warning("no class stats for %r, skipping box", p.cls)
             continue
-        x = extract_features(frame, p)
+        x = extract_features(slices, p)
         if feature_mask is not None:
             x = x * feature_mask
         q = forward(params, x)

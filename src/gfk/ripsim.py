@@ -24,14 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .camera import CameraModel
-from .errors import (
-    AmbiguousRange,
-    InsufficientSignal,
-    InvalidAlbedo,
-    NegativeRange,
-    NonPositiveDepth,
-)
+from .camera import CameraModel, CamPoint, project
+from .errors import AmbiguousRange, InsufficientSignal, NegativeRange
 from .scene import SceneDescription
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -151,11 +145,11 @@ class NoiseConfig:
             raise ValueError(f"negative read noise {self.read_noise_sigma}")
         if not self.photon_scale > 0:
             raise ValueError(f"photon_scale must be positive, got {self.photon_scale}")
-        if self.full_scale <= 0:
-            raise ValueError(f"full_scale must be positive, got {self.full_scale}")
+        if not 0 < self.full_scale < 65536:
+            raise ValueError(f"full_scale must be in [1, 65535] (16-bit PGM), "
+                             f"got {self.full_scale}")
 
 
-DEFAULT_NOISE = NoiseConfig()
 NOISELESS = NoiseConfig(read_noise_sigma=0.0, photon_scale=math.inf, enable_clipping=False)
 
 
@@ -172,17 +166,6 @@ def _measure_array(signal: np.ndarray, noise: NoiseConfig, rng: np.random.Genera
     return out
 
 
-def measure_pixel(albedo: float, r: float, gate: GateConfig, noise: NoiseConfig,
-                  rng: np.random.Generator) -> float:
-    """One noisy pixel measurement of a surface at range r."""
-    if not (0.0 <= albedo <= 1.0):
-        raise InvalidAlbedo(f"albedo {albedo} outside [0, 1]")
-    if r < 0:
-        raise NegativeRange(f"range {r} must be >= 0")
-    signal = albedo * rip_value(gate, r)
-    return float(_measure_array(np.asarray(signal), noise, rng))
-
-
 @dataclass(frozen=True, eq=False)
 class GatedFrame:
     """Three gated slices of one scene: shape (3, height, width).
@@ -191,8 +174,6 @@ class GatedFrame:
     """
 
     slices: np.ndarray
-    seed: int
-    gates: tuple[GateConfig, GateConfig, GateConfig]
 
     def __post_init__(self) -> None:
         if self.slices.ndim != 3 or self.slices.shape[0] != 3:
@@ -216,17 +197,13 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
     albedo = np.full((h_img, w_img), float(scene.background_albedo))
     for obj in scene.objects:
         box = obj.box
-        if box.z <= 0:
-            raise NonPositiveDepth(f"object at z={box.z}")
         half_w = (box.l * abs(math.cos(box.yaw)) + box.w * abs(math.sin(box.yaw))) / 2.0
-        u_lo = cam.c_u + cam.f_u * (box.x - half_w) / box.z
-        u_hi = cam.c_u + cam.f_u * (box.x + half_w) / box.z
-        v_lo = cam.c_v + cam.f_v * (box.y - box.h) / box.z
-        v_hi = cam.c_v + cam.f_v * box.y / box.z
-        c0 = max(0, math.ceil(u_lo))
-        c1 = min(w_img - 1, math.floor(u_hi))
-        r0 = max(0, math.ceil(v_lo))
-        r1 = min(h_img - 1, math.floor(v_hi))
+        lo = project(CamPoint(box.x - half_w, box.y - box.h, box.z), cam)  # raises for z <= 0
+        hi = project(CamPoint(box.x + half_w, box.y, box.z), cam)
+        c0 = max(0, math.ceil(lo.u))
+        c1 = min(w_img - 1, math.floor(hi.u))
+        r0 = max(0, math.ceil(lo.v))
+        r1 = min(h_img - 1, math.floor(hi.v))
         if c0 > c1 or r0 > r1:
             continue
         region = (slice(r0, r1 + 1), slice(c0, c1 + 1))
@@ -234,15 +211,11 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
         depth[region][closer] = box.z
         albedo[region][closer] = obj.albedo
     streams = np.random.SeedSequence(seed).spawn(3)
-    measured = []
+    data = np.empty((3, h_img, w_img), np.uint16 if noise.enable_clipping else np.float64)
     for i in range(3):
         rng = np.random.default_rng(streams[i])
-        signal = albedo * rip_value(gates[i], depth)
-        measured.append(_measure_array(signal, noise, rng))
-    data = np.stack(measured)
-    if noise.enable_clipping:
-        data = data.astype(np.uint16)
-    return GatedFrame(slices=data, seed=seed, gates=gates)
+        data[i] = _measure_array(albedo * rip_value(gates[i], depth), noise, rng)
+    return GatedFrame(slices=data)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,10 @@ Each oracle recomputes a quantity the library produces in closed form, using
 a method that shares no code with the implementation: adaptive quadrature for
 the range-intensity profile, stratified Monte Carlo for rotated-rectangle
 IoU, threshold enumeration for average precision, and central differences
-for gradients. Keep these dumb and obviously correct.
+for gradients. whole_frame_features is the exception: it is the box feature
+extractor as first written, casting the whole frame to float64 before it
+crops, kept to pin that cropping first changes no bit. Keep these dumb and
+obviously correct.
 """
 
 from __future__ import annotations
@@ -134,3 +137,32 @@ def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
         xm.flat[i] -= step
         g.flat[i] = (f(xp) - f(xm)) / (2.0 * step)
     return g
+
+
+def whole_frame_features(slices: np.ndarray, p) -> np.ndarray:
+    """The 24-entry box feature vector, computed on the whole frame cast to
+    float64 (full scale 1023, ratio threshold 5, classes Car, Pedestrian)."""
+    frame = np.asarray(slices, dtype=np.float64)
+    _, img_h, img_w = frame.shape
+    x = np.zeros(24)
+    x[18:22] = (p.u / img_w, p.v / img_h, p.w_u / img_w, p.h_v / img_h)
+    if p.cls in ("Car", "Pedestrian"):
+        x[22 + ("Car", "Pedestrian").index(p.cls)] = 1.0
+    c0 = max(0, int(math.floor(p.u - p.w_u / 2.0)))
+    c1 = min(img_w, int(math.ceil(p.u + p.w_u / 2.0)))
+    r0 = max(0, int(math.floor(p.v - p.h_v / 2.0)))
+    r1 = min(img_h, int(math.ceil(p.v + p.h_v / 2.0)))
+    if c0 >= c1 or r0 >= r1:
+        return x
+    crop = frame[:, r0:r1, c0:c1]
+    means = crop.mean(axis=(1, 2))
+    stds = crop.std(axis=(1, 2))
+    for s in range(3):
+        x[5 * s] = means[s] / 1023.0
+        x[5 * s + 1] = stds[s] / 1023.0
+        for bi, band in enumerate(np.array_split(crop[s], 3, axis=0)):
+            x[5 * s + 2 + bi] = (band.mean() if band.size else means[s]) / 1023.0
+    total = float(means.sum())
+    if total > 5.0:
+        x[15:18] = means / total
+    return x

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,7 @@ def _gates(**first):
     ({"seed": -1}, None, "config.seed"),
     ({}, -1, "--seed"),
     ({"train": {"hidden_sizes": [16, 0]}}, None, "train"),
+    ({"noise": {"full_scale": 70000}}, None, "noise: full_scale must be in [1, 65535]"),
 ])
 def test_config_rejects_malformed_values(tmp_path, capsys, overrides, seed_override, where):
     p = write_config(tmp_path, overrides)
@@ -284,6 +286,21 @@ def test_simulate_writes_every_file_atomically(tmp_path, monkeypatch):
     assert sorted(written) == files
 
 
+def test_manifest_without_classes_is_a_parse_error(tmp_path, capsys):
+    p = write_config(tmp_path)
+    cfg = load_run_config(p)
+    cmd_simulate(cfg)
+    layout = DatasetLayout(cfg.dataset_dir)
+    manifest = json.loads(layout.manifest_path.read_text())
+    del manifest["classes"]
+    layout.manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match="classes: required field missing"):
+        load_manifest(layout)
+    assert main(["train", "--config", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"gfk-error: ParseError: {layout.manifest_path}: classes: required field missing")
+
+
 def test_simulate_requires_clipping(tmp_path):
     p = write_config(tmp_path, {"noise": {"enable_clipping": False}})
     with pytest.raises(ConfigError, match="enable_clipping"):
@@ -393,12 +410,14 @@ def test_train_without_dataset(tmp_path):
         cmd_train(cfg)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_train_stops_on_a_non_finite_loss(tmp_path, capsys):
     p = write_config(tmp_path, {"train": {"learning_rate": 1e200}})
     cfg = load_run_config(p)
     cmd_simulate(cfg)
-    assert main(["train", "--config", str(p)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(p)]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert re.match(r"gfk-error: TrainingDiverged: loss is (inf|nan) at epoch \d+, step \d+$", err)
     assert not cfg.model_path.exists() and not cfg.metrics_path.exists()

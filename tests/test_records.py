@@ -235,10 +235,17 @@ def _edit(path, value):
     return lambda model: _set(model, path, value)
 
 
+def _drop(key):
+    return lambda model: _set(model, ("meta",), {k: v for k, v in model["meta"].items()
+                                                 if k != key})
+
+
 @pytest.mark.parametrize("edit,where", [
     (_edit(("meta", "k"), "two"), "meta.k: expected a finite number, got 'two'"),
     (_edit(("meta", "k"), math.nan), "meta.k: expected a finite number, got nan"),
     (_edit(("meta", "k"), 0.0), "meta.k: must be positive"),
+    (_drop("k"), "meta.k: required field missing"),
+    (_drop("classes"), "meta.classes: required field missing"),
     (_edit(("meta", "feature_mask"), [1.0, 1.0]), "meta.feature_mask: expected 24 items, got 2"),
     (_edit(("meta", "feature_mask", 3), math.nan), "meta.feature_mask[3]: expected a finite"),
     (_edit(("meta", "feature_mask", 0), math.inf), "meta.feature_mask[0]: expected a finite"),
@@ -247,8 +254,9 @@ def _edit(path, value):
     (_edit(("sizes", 0), 24.9), "sizes[0]: expected an integer, got 24.9"),
     (_edit(("sizes", 1), True), "sizes[1]: expected an integer, got True"),
     (_edit(("sizes",), [24, 16, 7]), "sizes must be positive and map 24 features"),
-], ids=["k-string", "k-nan", "k-zero", "mask-length", "mask-nan", "mask-inf", "weight-nan",
-        "bias-inf", "size-float", "size-bool", "size-output"])
+], ids=["k-string", "k-nan", "k-zero", "k-missing", "classes-missing", "mask-length",
+        "mask-nan", "mask-inf", "weight-nan", "bias-inf", "size-float", "size-bool",
+        "size-output"])
 def test_predict_bad_model_file_is_model_parse_error(trained, tmp_path, edit, where):
     config, model = trained
     assert _predict(config, tmp_path / "ok", model)[0] == 0

@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfk import (
     Box2D,
@@ -38,7 +40,7 @@ from gfk.regressor import (
 )
 from gfk.scene import oracle_box2d
 
-from oracles import fd_gradient
+from oracles import fd_gradient, whole_frame_features
 
 
 def const_frame(v1, v2, v3, h=40, w=60):
@@ -110,6 +112,28 @@ def test_features_out_of_image_box():
     assert np.all(x[INTENSITY_FEATURES] == 0.0)
     assert np.all(x[RATIO_FEATURES] == 0.0)
     assert x[18] == pytest.approx(-500.0 / 60.0)  # geometry still encodes the miss
+
+
+@st.composite
+def frames_and_boxes(draw):
+    """A uint16 frame and a box on it, the box often overlapping an edge or
+    lying wholly outside the image."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    high = draw(st.sampled_from([2, 1024, 65536]))
+    frame = np.random.default_rng(seed).integers(0, high, size=(3, h, w), dtype=np.uint16)
+    coord = lambda n: st.floats(-0.5 * n, 1.5 * n, allow_nan=False)
+    size = lambda n: st.floats(0.01, 1.2 * n, allow_nan=False)
+    box = Box2D(cls=draw(st.sampled_from(["Car", "Pedestrian", "Tree"])),
+                u=draw(coord(w)), v=draw(coord(h)), w_u=draw(size(w)), h_v=draw(size(h)))
+    return frame, box
+
+
+@settings(max_examples=400, deadline=None)
+@given(frames_and_boxes())
+def test_features_crop_first_matches_whole_frame_cast_bit_for_bit(frame_and_box):
+    frame, box = frame_and_box
+    assert extract_features(frame, box).tobytes() == whole_frame_features(frame, box).tobytes()
 
 
 def test_features_shape_validation():
@@ -207,11 +231,13 @@ def test_train_golden_fixture():
                                golden["losses"], rtol=0, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_train_stops_on_a_non_finite_loss():
     cfg = TrainConfig(hidden_sizes=(16,), batch_size=4, learning_rate=1e200, seed=3)
-    with pytest.raises(TrainingDiverged, match=r"^loss is (inf|nan) at epoch 1, step 2$"):
-        train(small_dataset(), cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDiverged, match=r"^loss is (inf|nan) at epoch 1, step 2$"):
+            train(small_dataset(), cfg)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_train_validation_loss_reported():

@@ -5,18 +5,17 @@ import pytest
 
 from gfk import (
     AmbiguousRange,
-    InvalidAlbedo,
     CameraModel,
     GateConfig,
     InsufficientSignal,
     NOISELESS,
     NegativeRange,
+    NonPositiveDepth,
     NoiseConfig,
     SPEED_OF_LIGHT,
     build_rip_tables,
     default_gates,
     depth_from_ratios,
-    measure_pixel,
     render_frame,
     rip_value,
 )
@@ -147,19 +146,9 @@ def test_default_gates_cover_working_range():
 def test_noiseless_measurement_is_exact():
     g = gate(87, 194, 120, pulse_amplitude=600 / (120 * NS))
     rng = np.random.default_rng(0)
-    r, albedo = 20.0, 0.7
-    want = rip_value(g, r) * albedo
+    signal = 0.7 * rip_value(g, np.linspace(0.0, 60.0, 121))
     for _ in range(5):
-        assert measure_pixel(albedo, r, g, NOISELESS, rng) == want
-
-
-def test_measurement_validation():
-    g = gate(87, 194, 120)
-    rng = np.random.default_rng(0)
-    with pytest.raises(InvalidAlbedo):
-        measure_pixel(1.2, 10.0, g, NOISELESS, rng)
-    with pytest.raises(NegativeRange):
-        measure_pixel(0.5, -1.0, g, NOISELESS, rng)
+        assert _measure_array(signal, NOISELESS, rng).tobytes() == signal.tobytes()
 
 
 def test_noise_moments_match_analytic():
@@ -224,6 +213,32 @@ def test_render_object_occludes_wall():
     # corner pixel still sees the wall
     for i, g in enumerate(gates):
         assert frame.slices[i][0, 0] == pytest.approx(rip_value(g, 60.0) * 0.2)
+
+
+@pytest.mark.parametrize("x,yaw", [(0.0, 0.0), (1.3, 0.7), (-2.9, -2.2), (6.0, 1.0)])
+def test_render_billboard_is_the_projected_silhouette(x, yaw):
+    # the object covers exactly the pixels whose centres lie inside the
+    # pinhole image of its width-by-height silhouette at the box z (clipped)
+    cam = small_camera()
+    box = Box3D(cls="Car", x=x, y=1.2, z=30.0, h=1.5, w=1.8, l=4.2, yaw=yaw)
+    scn = SceneDescription(objects=(SceneObject(box, 0.9),),
+                           background_albedo=0.2, background_range=60.0)
+    frame = render_frame(scn, default_gates(), cam, NOISELESS, seed=0)
+    half_w = (box.l * abs(math.cos(yaw)) + box.w * abs(math.sin(yaw))) / 2.0
+    u_lo, u_hi = (cam.f_u * (x + s * half_w) / box.z + cam.c_u for s in (-1, 1))
+    v_lo, v_hi = (cam.f_v * y / box.z + cam.c_v for y in (box.y - box.h, box.y))
+    uu, vv = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
+    want = (uu >= u_lo) & (uu <= u_hi) & (vv >= v_lo) & (vv <= v_hi)
+    assert want.any()
+    assert np.array_equal(frame.slices[1] != frame.slices[1][0, 0], want)
+
+
+def test_render_rejects_an_object_at_non_positive_depth():
+    box = Box3D(cls="Car", x=0.0, y=1.0, z=-5.0, h=2.0, w=2.0, l=4.0, yaw=0.0)
+    scn = SceneDescription(objects=(SceneObject(box, 0.5),),
+                           background_albedo=0.2, background_range=60.0)
+    with pytest.raises(NonPositiveDepth):
+        render_frame(scn, default_gates(), small_camera(), NOISELESS, seed=0)
 
 
 def test_render_nearer_object_wins():
