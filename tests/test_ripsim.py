@@ -167,6 +167,20 @@ def test_noise_moments_match_analytic():
     assert abs(x.var() - var) < 4 * se_var
 
 
+def test_poisson_zero_rate_draws_zero_and_consumes_no_bits():
+    # _measure_array draws Poisson only at non-zero rates; that keeps the
+    # rendered bytes only while numpy returns 0 for a zero rate without
+    # advancing the generator, which this pins
+    rates = np.zeros(4000)
+    rates[::7] = np.linspace(0.01, 3000.0, len(rates[::7]))  # both of numpy's samplers
+    rates[5::11] = 15.0
+    mixed, lit = np.random.default_rng(42), np.random.default_rng(42)
+    full = mixed.poisson(rates)
+    assert np.all(full[rates == 0] == 0)
+    np.testing.assert_array_equal(full[rates > 0], lit.poisson(rates[rates > 0]))
+    assert mixed.bit_generator.state == lit.bit_generator.state
+
+
 def test_clipping_clamps_and_rounds():
     noise = NoiseConfig(read_noise_sigma=400.0, photon_scale=1.0, enable_clipping=True,
                         full_scale=1023)
