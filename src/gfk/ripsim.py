@@ -14,6 +14,10 @@ amplitude * min(t_g, t_p).
 
 Pixels see the profile scaled by albedo, then shot noise (scaled Poisson)
 plus gaussian read noise, then optional clipping and 10-bit quantization.
+A frame holds one (range, albedo) pair per object plus the background, so
+render_frame draws an object-index map, evaluates the profile once per
+object and gathers; Poisson counts are drawn only where the rate is
+non-zero, which leaves the draws as they would be over every pixel.
 """
 
 from __future__ import annotations
@@ -154,15 +158,33 @@ NOISELESS = NoiseConfig(read_noise_sigma=0.0, photon_scale=math.inf, enable_clip
 
 
 def _measure_array(signal: np.ndarray, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
+    """One noisy reading of a signal array, in a new float64 array.
+
+    Shot noise is drawn first, read noise second, from the one generator.
+    Poisson counts are drawn only where the signal is non-zero: numpy
+    returns 0 for a zero rate without advancing the generator, so the counts
+    and the generator state after them are those of one draw over the whole
+    array (tests/test_ripsim.py pins this). The read noise is drawn straight
+    into the output and the counts are added where they are non-zero; as
+    rng.normal(0, sigma) never returns -0.0 and addition commutes, every
+    element equals counts / photon_scale + read noise.
+    """
     signal = np.asarray(signal, dtype=np.float64)
     if math.isinf(noise.photon_scale):
         out = signal.copy()
+        if noise.read_noise_sigma > 0:
+            out += rng.normal(0.0, noise.read_noise_sigma, size=out.shape)
     else:
-        out = rng.poisson(signal * noise.photon_scale).astype(np.float64) / noise.photon_scale
-    if noise.read_noise_sigma > 0:
-        out = out + rng.normal(0.0, noise.read_noise_sigma, size=out.shape)
+        lit = signal != 0
+        shot = rng.poisson(signal[lit] * noise.photon_scale) / noise.photon_scale
+        if noise.read_noise_sigma > 0:
+            out = rng.normal(0.0, noise.read_noise_sigma, size=signal.shape)
+        else:
+            out = np.zeros_like(signal)
+        out[lit] += shot
     if noise.enable_clipping:
-        out = np.rint(np.clip(out, 0, noise.full_scale))
+        np.clip(out, 0, noise.full_scale, out=out)
+        np.rint(out, out=out)
     return out
 
 
@@ -185,16 +207,24 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
     """Render the three gated slices of a scene.
 
     Objects are drawn as fronto-parallel billboards (the box silhouette at
-    the box z) into a z-buffer over a constant-range background, then each
-    slice is measured with its own RNG substream so slices stay independent
-    but the whole frame is reproducible from the seed.
+    the box z) into a z-buffer over a constant-range background. The
+    z-buffer is an object-index map: 0 is the background, k the k-th drawn
+    object, and a pixel changes hands only to a strictly nearer object. Each
+    slice evaluates the profile once per object range, scales it by the
+    object albedo and gathers the values through the map, so no full-frame
+    depth or albedo image exists. Each slice is then measured with its own
+    RNG substream, so slices stay independent but the whole frame is
+    reproducible from the seed; Poisson counts are drawn only at pixels with
+    a positive rate (see _measure_array), which leaves every byte as a draw
+    over all pixels would.
     """
     gates = tuple(gates)
     if len(gates) != 3:
         raise ValueError(f"exactly 3 gates required, got {len(gates)}")
     h_img, w_img = cam.height, cam.width
-    depth = np.full((h_img, w_img), float(scene.background_range))
-    albedo = np.full((h_img, w_img), float(scene.background_albedo))
+    ranges = [float(scene.background_range)]
+    albedos = [float(scene.background_albedo)]
+    index = np.zeros((h_img, w_img), np.intp)
     for obj in scene.objects:
         box = obj.box
         half_w = (box.l * abs(math.cos(box.yaw)) + box.w * abs(math.sin(box.yaw))) / 2.0
@@ -207,14 +237,17 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
         if c0 > c1 or r0 > r1:
             continue
         region = (slice(r0, r1 + 1), slice(c0, c1 + 1))
-        closer = depth[region] > box.z
-        depth[region][closer] = box.z
-        albedo[region][closer] = obj.albedo
+        closer = np.take(np.array(ranges), index[region]) > box.z
+        index[region][closer] = len(ranges)
+        ranges.append(box.z)
+        albedos.append(obj.albedo)
+    ranges, albedos = np.array(ranges), np.array(albedos)
     streams = np.random.SeedSequence(seed).spawn(3)
     data = np.empty((3, h_img, w_img), np.uint16 if noise.enable_clipping else np.float64)
     for i in range(3):
         rng = np.random.default_rng(streams[i])
-        data[i] = _measure_array(albedo * rip_value(gates[i], depth), noise, rng)
+        signal = np.take(albedos * rip_value(gates[i], ranges), index)
+        data[i] = _measure_array(signal, noise, rng)
     return GatedFrame(slices=data)
 
 

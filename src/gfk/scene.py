@@ -61,7 +61,9 @@ def class_stats_to_json(classes: dict[str, ObjectClass]) -> dict:
 
 
 def class_stats_from_json(recs: Mapping[str, dict], where: str) -> dict[str, ObjectClass]:
-    """Inverse of class_stats_to_json; a malformed record raises FieldError under where."""
+    """Inverse of class_stats_to_json; an empty map or a malformed record raises FieldError."""
+    if not recs:
+        raise FieldError("at least one object class required", where)
     return {name: build(ObjectClass, rec, (where, name), name=name) for name, rec in recs.items()}
 
 

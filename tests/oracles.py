@@ -4,10 +4,10 @@ Each oracle recomputes a quantity the library produces in closed form, using
 a method that shares no code with the implementation: adaptive quadrature for
 the range-intensity profile, stratified Monte Carlo for rotated-rectangle
 IoU, threshold enumeration for average precision, and central differences
-for gradients. whole_frame_features is the exception: it is the box feature
-extractor as first written, casting the whole frame to float64 before it
-crops, kept to pin that cropping first changes no bit. Keep these dumb and
-obviously correct.
+for gradients. whole_frame_features and full_frame_render are the
+exceptions: they are the box feature extractor and the frame renderer as
+first written, kept to pin that cropping first and rendering from an
+object-index map change no bit. Keep these dumb and obviously correct.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from gfk import SPEED_OF_LIGHT
+from gfk import SPEED_OF_LIGHT, rip_value
+from gfk.camera import CamPoint, project
 
 
 def quad_rip(gate, r: float) -> float:
@@ -166,3 +167,36 @@ def whole_frame_features(slices: np.ndarray, p) -> np.ndarray:
     if total > 5.0:
         x[15:18] = means / total
     return x
+
+
+def full_frame_render(scene, gates, cam, noise, seed: int) -> np.ndarray:
+    """The (3, H, W) slices of a scene rendered through full-frame float64
+    depth and albedo images, the profile evaluated at every pixel and a
+    Poisson count drawn at every pixel."""
+    depth = np.full((cam.height, cam.width), float(scene.background_range))
+    albedo = np.full((cam.height, cam.width), float(scene.background_albedo))
+    for obj in scene.objects:
+        box = obj.box
+        half_w = (box.l * abs(math.cos(box.yaw)) + box.w * abs(math.sin(box.yaw))) / 2.0
+        lo = project(CamPoint(box.x - half_w, box.y - box.h, box.z), cam)
+        hi = project(CamPoint(box.x + half_w, box.y, box.z), cam)
+        c0, c1 = max(0, math.ceil(lo.u)), min(cam.width - 1, math.floor(hi.u))
+        r0, r1 = max(0, math.ceil(lo.v)), min(cam.height - 1, math.floor(hi.v))
+        if c0 > c1 or r0 > r1:
+            continue
+        region = (slice(r0, r1 + 1), slice(c0, c1 + 1))
+        closer = depth[region] > box.z
+        depth[region][closer] = box.z
+        albedo[region][closer] = obj.albedo
+    slices = []
+    for gate, stream in zip(gates, np.random.SeedSequence(seed).spawn(3)):
+        rng = np.random.default_rng(stream)
+        x = albedo * rip_value(gate, depth)
+        if not math.isinf(noise.photon_scale):
+            x = rng.poisson(x * noise.photon_scale).astype(np.float64) / noise.photon_scale
+        if noise.read_noise_sigma > 0:
+            x = x + rng.normal(0.0, noise.read_noise_sigma, size=x.shape)
+        if noise.enable_clipping:
+            x = np.rint(np.clip(x, 0, noise.full_scale))
+        slices.append(x)
+    return np.stack(slices).astype(np.uint16 if noise.enable_clipping else np.float64)

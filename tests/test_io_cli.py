@@ -301,6 +301,22 @@ def test_manifest_without_classes_is_a_parse_error(tmp_path, capsys):
         f"gfk-error: ParseError: {layout.manifest_path}: classes: required field missing")
 
 
+def test_manifest_with_empty_classes_is_a_parse_error(tmp_path, capsys):
+    # with no class statistics predict would skip every box and eval score 0
+    p = write_config(tmp_path)
+    cfg = load_run_config(p)
+    cmd_simulate(cfg)
+    layout = DatasetLayout(cfg.dataset_dir)
+    manifest = json.loads(layout.manifest_path.read_text())
+    manifest["classes"] = {}
+    layout.manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match="classes: at least one object class required"):
+        load_manifest(layout)
+    assert main(["train", "--config", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"gfk-error: ParseError: {layout.manifest_path}: "
+                                              "classes: at least one object class required")
+
+
 def test_simulate_requires_clipping(tmp_path):
     p = write_config(tmp_path, {"noise": {"enable_clipping": False}})
     with pytest.raises(ConfigError, match="enable_clipping"):
@@ -356,6 +372,21 @@ def test_full_pipeline_commands(tmp_path):
     assert cout["max_position_error"] < 1e-9
     assert cout["record_errors"] == []
     assert cfg.codec_check_path.exists()
+
+
+def test_eval_render_bev_writes_one_svg_per_frame_and_the_same_report(tmp_path):
+    p = write_config(tmp_path)
+    cfg = load_run_config(p)
+    for command in ("simulate", "train", "predict", "eval"):
+        assert main([command, "--config", str(p)]) == 0
+    reports = [cfg.report_json_path.read_bytes(), cfg.report_csv_path.read_bytes()]
+    assert not cfg.bev_dir.exists()
+    assert main(["eval", "--config", str(p), "--render-bev"]) == 0
+    assert [cfg.report_json_path.read_bytes(), cfg.report_csv_path.read_bytes()] == reports
+    test_frames = load_manifest(DatasetLayout(cfg.dataset_dir)).splits["test"]
+    assert sorted(f.name for f in cfg.bev_dir.iterdir()) == [f"{fid}.svg" for fid in test_frames]
+    for fid in test_frames:
+        assert (cfg.bev_dir / f"{fid}.svg").read_text().startswith("<svg")
 
 
 def test_codec_check_lists_corrupted_records(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfk import (
     AmbiguousRange,
@@ -22,7 +23,7 @@ from gfk import (
 from gfk.ripsim import RipTable, _measure_array
 from gfk.scene import Box3D, SceneDescription, SceneObject
 
-from oracles import quad_rip
+from oracles import full_frame_render, quad_rip
 
 NS = 1e-9
 
@@ -289,6 +290,47 @@ def test_render_slices_noise_independent():
     frame = render_frame(wall_scene(0.5, 25.0), gates, cam, noise, seed=1)
     assert not np.array_equal(frame.slices[0], frame.slices[1])
     assert not np.array_equal(frame.slices[1], frame.slices[2])
+
+
+@st.composite
+def render_cases(draw):
+    """A scene of up to eight objects, often tied in z and overlapping or cut
+    by the image edge, with gates, a noise model and a seed."""
+    z = st.one_of(st.sampled_from([8.0, 30.0, 30.0, 61.5]), st.floats(0.5, 130.0))
+    albedo = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    objects = tuple(
+        SceneObject(Box3D(cls="Car", x=draw(st.floats(-12.0, 12.0)), y=draw(st.floats(-1.0, 2.5)),
+                          z=draw(z), h=draw(st.floats(0.3, 3.0)), w=draw(st.floats(0.3, 3.0)),
+                          l=draw(st.floats(0.3, 6.0)), yaw=draw(st.floats(-math.pi, math.pi))),
+                    draw(albedo))
+        for _ in range(draw(st.integers(0, 8))))
+    scene = SceneDescription(objects=objects, background_albedo=draw(albedo),
+                             background_range=draw(st.one_of(st.just(150.0),
+                                                             st.floats(0.0, 130.0))))
+    gates = draw(st.sampled_from([
+        default_gates(),
+        tuple(gate(d, g, p, pulse_amplitude=600 / (p * NS), attenuation_gamma=0.022)
+              for d, g, p in ((87, 194, 120), (267, 414, 254), (460, 287, 220))),
+        tuple(gate(d, g, p, inverse_square=True) for d, g, p in ((20, 100, 80),) * 3),
+    ]))
+    noise = draw(st.one_of(
+        st.sampled_from([NoiseConfig(), NOISELESS, NoiseConfig(enable_clipping=False),
+                         NoiseConfig(read_noise_sigma=0.0)]),
+        st.builds(NoiseConfig, read_noise_sigma=st.floats(0.0, 50.0),
+                  photon_scale=st.one_of(st.just(math.inf), st.floats(0.01, 100.0)),
+                  enable_clipping=st.booleans(), full_scale=st.integers(1, 65535))))
+    return scene, gates, noise, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(render_cases())
+def test_render_matches_full_frame_oracle_bit_for_bit(case):
+    scene, gates, noise, seed = case
+    cam = CameraModel(f_u=50.0, f_v=50.0, c_u=20.0, c_v=12.0, width=40, height=24)
+    want = full_frame_render(scene, gates, cam, noise, seed)
+    got = render_frame(scene, gates, cam, noise, seed).slices
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
