@@ -42,13 +42,12 @@ from .errors import (
     TrainingDiverged,
 )
 from .eval import ApResult, EvalConfig, EvalReport, ap_40, evaluate, iou_2d, iou_3d, iou_bev
-from .loss import CodeTargets, LossBreakdown, LossWeights, loss_3d, smooth_l1
+from .loss import CodeTargets, LossWeights, smooth_l1
 from .regressor import (
     MlpParams,
     Sample,
     TrainConfig,
     extract_features,
-    forward,
     init_params,
     predict,
     train,
@@ -60,7 +59,7 @@ from .ripsim import (
     NoiseConfig,
     RipTable,
     SPEED_OF_LIGHT,
-    build_rip_tables,
+    build_rip_table,
     default_gates,
     depth_from_ratios,
     render_frame,

@@ -41,12 +41,21 @@ class EvalConfig:
     kinds: tuple[str, ...] = KINDS
 
     def __post_init__(self) -> None:
+        # With no class or no bin the report has no cell, and bins that share
+        # a label would write into one cell.
+        if not self.iou_thresholds:
+            raise ValueError("iou_thresholds: at least one class required")
+        if not self.bins:
+            raise ValueError("bins: at least one range bin required")
         for name, thr in self.iou_thresholds.items():
             if not (0.0 < thr <= 1.0):
                 raise ValueError(f"IoU threshold for {name} must be in (0, 1], got {thr}")
-        for lo, hi in self.bins:
+        labels = [bin_label(lo, hi) for lo, hi in self.bins]
+        for (lo, hi), label in zip(self.bins, labels):
             if not (0.0 <= lo < hi):
                 raise ValueError(f"bad bin ({lo}, {hi})")
+            if labels.count(label) > 1:
+                raise ValueError(f"bins: two bins share the label {label}")
         for kind in self.kinds:
             if kind not in KINDS:
                 raise ValueError(f"unknown metric kind {kind!r}")

@@ -55,40 +55,15 @@ class CodeTargets:
         return np.array([self.du, self.dv, self.dz, self.dh, self.dw, self.dl, self.theta])
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    total: float
-    loc: float
-    dim: float
-    ori: float
-    gradient: np.ndarray  # d(total)/d(code), shape (8,)
-
-
-def smooth_l1(x, delta: float = 1.0):
+def smooth_l1(x, delta: float):
     """Huber-style penalty: quadratic inside |x| < delta, linear outside."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(np.abs(x) < delta, 0.5 * x * x / delta, np.abs(x) - 0.5 * delta)
-    return float(out) if out.ndim == 0 else out
+    return np.where(np.abs(x) < delta, 0.5 * x * x / delta, np.abs(x) - 0.5 * delta)
 
 
-def smooth_l1_grad(x, delta: float = 1.0):
+def smooth_l1_grad(x, delta: float):
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(np.abs(x) < delta, x / delta, np.sign(x))
-    return float(out) if out.ndim == 0 else out
-
-
-def loss_3d(q: FrustumCode, target: CodeTargets, w: LossWeights = LossWeights()) -> LossBreakdown:
-    """Loss and gradient for a single predicted code."""
-    pred = q.as_array()[None, :]
-    tgt = target.as_array()[None, :]
-    parts, grad = _loss_batch(pred, tgt, w)
-    return LossBreakdown(
-        total=float(parts["total"][0]),
-        loc=float(parts["loc"][0]),
-        dim=float(parts["dim"][0]),
-        ori=float(parts["ori"][0]),
-        gradient=grad[0],
-    )
+    return np.where(np.abs(x) < delta, x / delta, np.sign(x))
 
 
 def _loss_batch(pred: np.ndarray, tgt: np.ndarray, w: LossWeights):

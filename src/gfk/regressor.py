@@ -114,7 +114,7 @@ class MlpParams:
             pos += n_out
 
 
-def init_params(sizes: Sequence[int] = (FEATURE_SIZE, 64, 64, 8), seed: int = 0) -> MlpParams:
+def init_params(sizes: Sequence[int], seed: int | np.random.SeedSequence) -> MlpParams:
     """Gaussian init scaled by 1/sqrt(fan_in), zero biases."""
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
@@ -146,27 +146,6 @@ def _backward_batch(params: MlpParams, acts: list[np.ndarray], d_out: np.ndarray
         if i > 0:
             # acts[i] is the tanh output of layer i-1, so tanh' = 1 - acts^2
             dz = (dz @ params.weights[i]) * (1.0 - acts[i] ** 2)
-
-
-def forward(params: MlpParams, x) -> FrustumCode:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.sizes[0],):
-        raise ShapeMismatch(f"expected input shape ({params.sizes[0]},), got {x.shape}")
-    acts = _forward_batch(params, x[None, :])
-    return FrustumCode.from_array(acts[-1][0])
-
-
-def backward(params: MlpParams, x, grad_output) -> MlpParams:
-    """Parameter gradients for one input given d(loss)/d(code), laid out as params."""
-    x = np.asarray(x, dtype=np.float64)
-    grad_output = np.asarray(grad_output, dtype=np.float64)
-    if x.shape != (params.sizes[0],):
-        raise ShapeMismatch(f"expected input shape ({params.sizes[0]},), got {x.shape}")
-    if grad_output.shape != (params.sizes[-1],):
-        raise ShapeMismatch(f"expected gradient shape ({params.sizes[-1]},), got {grad_output.shape}")
-    grads = MlpParams(params.sizes)
-    _backward_batch(params, _forward_batch(params, x[None, :]), grad_output[None, :], grads)
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +289,7 @@ def predict(params: MlpParams, slices: np.ndarray, boxes2d: Sequence[Box2D],
         x = extract_features(slices, p)
         if feature_mask is not None:
             x = x * feature_mask
-        q = forward(params, x)
+        q = FrustumCode.from_array(_forward_batch(params, x[None])[-1][0])
         try:
             box = decode(q, p, st, k, cam)
         except GfkError as e:

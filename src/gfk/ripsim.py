@@ -251,79 +251,60 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
     return GatedFrame(slices=data)
 
 
+# A lookup needs a slice sum above TAU_SUM. It is ambiguous when a range more
+# than AMBIGUITY_RADIUS (m) from the best one matches within AMBIGUITY_TOL.
+TAU_SUM = 1e-3
+AMBIGUITY_RADIUS = 0.5
+AMBIGUITY_TOL = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class RipTable:
-    """Profile values tabulated on a uniform range grid."""
+    """Profile values of three gates on one range grid.
 
-    gate: GateConfig
-    r_min: float
-    r_max: float
-    step: float
+    ranges has shape (N,); values has shape (N, 3), one column per gate.
+    """
+
+    ranges: np.ndarray
     values: np.ndarray
 
-    @classmethod
-    def build(cls, gate: GateConfig, r_min: float, r_max: float, step: float) -> "RipTable":
-        if r_min < 0:
-            raise NegativeRange(f"r_min {r_min} must be >= 0")
-        if step <= 0 or r_max <= r_min:
-            raise ValueError(f"bad table grid [{r_min}, {r_max}] step {step}")
-        n = int(math.floor((r_max - r_min) / step + 1e-9)) + 1
-        ranges = r_min + step * np.arange(n)
-        return cls(gate=gate, r_min=r_min, r_max=r_max, step=step,
-                   values=rip_value(gate, ranges))
 
-    @property
-    def ranges(self) -> np.ndarray:
-        return self.r_min + self.step * np.arange(len(self.values))
+def build_rip_table(gates) -> RipTable:
+    """The profiles of three gates tabulated on [3, 100] m in 0.01 m steps,
+    the region where the normalized ratio vector of the default gates is
+    injective."""
+    ranges = 3.0 + 0.01 * np.arange(9701)
+    return RipTable(ranges, np.stack([rip_value(g, ranges) for g in gates], axis=1))
 
 
-def build_rip_tables(gates=None, r_min: float = 3.0, r_max: float = 100.0,
-                     step: float = 0.01) -> tuple[RipTable, ...]:
-    """Tables for all gates on a shared grid; defaults to the injective region."""
-    if gates is None:
-        gates = default_gates()
-    return tuple(RipTable.build(g, r_min, r_max, step) for g in gates)
-
-
-def depth_from_ratios(z1: float, z2: float, z3: float, tables,
-                      tau_sum: float = 1e-3,
-                      ambiguity_radius: float = 0.5,
-                      ambiguity_tol: float = 1e-9) -> float:
+def depth_from_ratios(z1: float, z2: float, z3: float, table: RipTable) -> float:
     """Recover range from three slice intensities by normalized-ratio lookup.
 
     Albedo cancels in the normalization, so any uniform scaling of the
     inputs maps to the same range. Raises InsufficientSignal when the slice
-    sum is at or below tau_sum, AmbiguousRange when a second minimum more
-    than ambiguity_radius away matches within ambiguity_tol.
+    sum is at or below TAU_SUM, AmbiguousRange when a second minimum more
+    than AMBIGUITY_RADIUS away matches within AMBIGUITY_TOL.
     """
-    tables = tuple(tables)
-    if len(tables) != 3:
-        raise ValueError(f"exactly 3 tables required, got {len(tables)}")
-    t0 = tables[0]
-    for t in tables[1:]:
-        if (t.r_min, t.r_max, t.step, len(t.values)) != (t0.r_min, t0.r_max, t0.step, len(t0.values)):
-            raise ValueError("tables must share one range grid")
     total = z1 + z2 + z3
-    if total <= tau_sum:
-        raise InsufficientSignal(f"slice sum {total} <= {tau_sum}")
+    if total <= TAU_SUM:
+        raise InsufficientSignal(f"slice sum {total} <= {TAU_SUM}")
     meas = np.array([z1, z2, z3], dtype=np.float64) / total
-    table_vals = np.stack([t.values for t in tables], axis=1)  # (N, 3)
-    sums = table_vals.sum(axis=1)
+    sums = table.values.sum(axis=1)
     dist = np.full(len(sums), np.inf)
     valid = sums > 0
-    diff = table_vals[valid] / sums[valid, None] - meas
+    diff = table.values[valid] / sums[valid, None] - meas
     dist[valid] = np.sqrt((diff * diff).sum(axis=1))
     if not np.any(valid):
         raise InsufficientSignal("all table entries are zero")
     best = int(np.argmin(dist))
-    ranges = t0.ranges
-    far = np.abs(ranges - ranges[best]) > ambiguity_radius
+    ranges = table.ranges
+    far = np.abs(ranges - ranges[best]) > AMBIGUITY_RADIUS
     if np.any(far):
         runner_up = float(np.min(dist[far]))
-        if runner_up - dist[best] < ambiguity_tol:
+        if runner_up - dist[best] < AMBIGUITY_TOL:
             raise AmbiguousRange(
                 f"ranges {ranges[best]:.2f} and {ranges[far][np.argmin(dist[far])]:.2f} "
-                f"both match within {ambiguity_tol}"
+                f"both match within {AMBIGUITY_TOL}"
             )
     return float(ranges[best])
 

@@ -22,18 +22,16 @@ from gfk import (
     DEFAULT_CAMERA,
     PEDESTRIAN,
     ap_40,
-    build_rip_tables,
+    build_rip_table,
     decode,
     default_gates,
     depth_from_ratios,
     encode,
     frustum_segment,
     iou_bev,
-    loss_3d,
     rip_value,
     wrap_to_pi,
 )
-from gfk.codec import FrustumCode
 from gfk.errors import GfkError
 from gfk.io_cli import (
     DatasetLayout,
@@ -44,7 +42,7 @@ from gfk.io_cli import (
     load_manifest,
     load_run_config,
 )
-from gfk.loss import CodeTargets, LossWeights
+from gfk.loss import LossWeights, _loss_batch
 from gfk.ripsim import GateConfig, NoiseConfig, _measure_array
 from gfk.scene import oracle_box2d, read_labels
 
@@ -164,16 +162,17 @@ def test_loss_gradient_matches_finite_differences():
     worst = 0.0
     checked = 0
     while checked < 100:
-        tgt = CodeTargets(*rng.uniform(-1.5, 1.5, size=6), rng.uniform(-math.pi, math.pi))
+        tgt = np.append(rng.uniform(-1.5, 1.5, size=6), rng.uniform(-math.pi, math.pi))
         pred = np.concatenate([rng.uniform(-2.0, 2.0, size=6), rng.uniform(-1.5, 1.5, size=2)])
-        res = np.abs(pred[:6] - tgt.as_array()[:6])
+        res = np.abs(pred[:6] - tgt[:6])
         # stay away from the quadratic/linear seam of the robust loss
         if np.any(np.abs(res - w.smooth_l1_delta) < 1e-3):
             continue
         checked += 1
-        got = loss_3d(FrustumCode.from_array(pred), tgt, w).gradient
+        # a batch of one: row 0 of the (1, 8) gradient and of the total
+        got = _loss_batch(pred[None], tgt[None], w)[1][0]
         want = fd_gradient(
-            lambda a: loss_3d(FrustumCode.from_array(a), tgt, w).total, pred, step=1e-6)
+            lambda a: _loss_batch(a[None], tgt[None], w)[0]["total"][0], pred, step=1e-6)
         scale = np.maximum(np.abs(want), 1e-8)
         worst = max(worst, float(np.max(np.abs(got - want) / scale)))
     ok = worst < 1e-4
@@ -254,7 +253,7 @@ def test_ap40_fixtures_and_brute_force():
 
 def test_depth_recovery_on_range_grid():
     gates = default_gates()
-    tables = build_rip_tables(gates)
+    table = build_rip_table(gates)
     grid = 3.0 + 0.1 * np.arange(971)
     total = hits = 0
     worst = 0.0
@@ -263,7 +262,7 @@ def test_depth_recovery_on_range_grid():
             z1, z2, z3 = (albedo * rip_value(g, float(r)) for g in gates)
             total += 1
             try:
-                back = depth_from_ratios(z1, z2, z3, tables)
+                back = depth_from_ratios(z1, z2, z3, table)
             except GfkError:
                 continue
             err = abs(back - float(r))

@@ -174,6 +174,10 @@ def _gates(**first):
     ({}, -1, "--seed"),
     ({"train": {"hidden_sizes": [16, 0]}}, None, "train"),
     ({"noise": {"full_scale": 70000}}, None, "noise: full_scale must be in [1, 65535]"),
+    ({"eval": {"iou_thresholds": {}}}, None, "eval: iou_thresholds: at least one class required"),
+    ({"eval": {"bins": []}}, None, "eval: bins: at least one range bin required"),
+    ({"eval": {"bins": [[0, 30], [0, 30.0000001]]}}, None,
+     "eval: bins: two bins share the label 0-30m"),
 ])
 def test_config_rejects_malformed_values(tmp_path, capsys, overrides, seed_override, where):
     p = write_config(tmp_path, overrides)
@@ -508,6 +512,27 @@ def test_atomic_write_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         atomic_write_bytes(tmp_path / "x.json", b"{}")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stale_temp_files_are_neither_read_nor_removed(tmp_path):
+    # A writer killed between write and rename leaves <name>.<hex>.tmp behind.
+    # gfk never reads such a file and leaves it for the user to delete.
+    p = write_config(tmp_path)
+
+    def run(out):
+        for command in ("simulate", "codec-check"):
+            assert main([command, "--config", str(p), "--out", str(out)]) == 0
+        return tree_digest(out)
+
+    clean = run(tmp_path / "clean")
+    assert "codec_check.json" in clean and "dataset/manifest.json" in clean
+    stale = tmp_path / "stale"
+    for rel in clean:
+        leftover = stale / f"{rel}.{'0' * 32}.tmp"
+        leftover.parent.mkdir(parents=True, exist_ok=True)
+        leftover.write_text(f"half-written {rel}\n")
+    leftovers = tree_digest(stale)
+    assert run(stale) == clean | leftovers
 
 
 # ---------------------------------------------------------------------------

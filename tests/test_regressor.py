@@ -19,7 +19,6 @@ from gfk import (
     TrainConfig,
     TrainingDiverged,
     extract_features,
-    forward,
     init_params,
     predict,
     train,
@@ -33,7 +32,8 @@ from gfk.regressor import (
     INTENSITY_FEATURES,
     RATIO_FEATURES,
     MlpParams,
-    backward,
+    _backward_batch,
+    _forward_batch,
     metrics_to_csv,
     model_to_json,
     parse_model,
@@ -146,13 +146,13 @@ def test_forward_golden_fixture():
     # guards initialization, layer order and activation choices all at once
     params = init_params(sizes=(24, 16, 8), seed=123)
     x = np.linspace(-1.0, 1.0, 24)
-    q = forward(params, x)
+    out = _forward_batch(params, x[None])[-1]
     want = np.array([
         -0.9584771298393044, 0.41252142000459335, -0.24108753652589232,
         0.6235051740702828, -0.08140478293521536, 0.16753372492190324,
         1.0714707510894304, 0.7571847666572764,
     ])
-    np.testing.assert_allclose(q.as_array(), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, want[None], rtol=0, atol=1e-12)
     assert float(params.weights[0].sum()) == pytest.approx(2.148295411676138, abs=1e-12)
 
 
@@ -172,33 +172,26 @@ def test_init_params_shapes_and_determinism():
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
-def test_forward_rejects_wrong_input_size():
-    params = init_params(sizes=(24, 16, 8), seed=0)
-    with pytest.raises(ShapeMismatch):
-        forward(params, np.zeros(23))
-
-
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(4)
     params = init_params(sizes=(6, 5, 8), seed=21)
-    x = rng.normal(size=6)
+    x = rng.normal(size=(1, 6))  # a batch of one
     tgt = rng.normal(size=(1, 7))
     w = LossWeights()
 
     def loss_of(params_flat_w0):
         params.weights[0][:] = params_flat_w0.reshape(5, 6)
-        out = forward(params, x).as_array()[None, :]
-        parts, _ = _loss_batch(out, tgt, w)
+        parts, _ = _loss_batch(_forward_batch(params, x)[-1], tgt, w)
         return float(parts["total"][0])
 
-    out = forward(params, x).as_array()[None, :]
-    _, dout = _loss_batch(out, tgt, w)
-    grads = backward(params, x, dout[0])
+    acts = _forward_batch(params, x)
+    _, dout = _loss_batch(acts[-1], tgt, w)
+    grads = MlpParams(params.sizes)
+    _backward_batch(params, acts, dout, grads)
     w0 = params.weights[0].copy()
     fd = fd_gradient(loss_of, w0.ravel(), step=1e-6).reshape(5, 6)
     params.weights[0][:] = w0
     np.testing.assert_allclose(grads.weights[0], fd, rtol=2e-4, atol=1e-7)
-    assert isinstance(grads, MlpParams) and grads.flat.shape == params.flat.shape
 
 
 def test_train_overfits_one_sample():
@@ -290,7 +283,7 @@ def test_predict_skips_undecodable():
 
 
 def test_predict_unknown_class_skipped():
-    params = init_params(seed=0)
+    params = init_params(sizes=(FEATURE_SIZE, 64, 64, 8), seed=0)
     frame = const_frame(100, 100, 100)
     p2d = Box2D(cls="Tree", u=30.0, v=20.0, w_u=10.0, h_v=10.0)
     out = predict(params, frame, [p2d], {"Car": CAR}, 2.0, DEFAULT_CAMERA)

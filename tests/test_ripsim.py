@@ -14,13 +14,13 @@ from gfk import (
     NonPositiveDepth,
     NoiseConfig,
     SPEED_OF_LIGHT,
-    build_rip_tables,
+    build_rip_table,
     default_gates,
     depth_from_ratios,
     render_frame,
     rip_value,
 )
-from gfk.ripsim import RipTable, _measure_array
+from gfk.ripsim import _measure_array
 from gfk.scene import Box3D, SceneDescription, SceneObject
 
 from oracles import full_frame_render, quad_rip
@@ -337,42 +337,45 @@ def test_render_matches_full_frame_oracle_bit_for_bit(case):
 # range tables and recovery
 
 def test_table_build_grid():
-    g = default_gates()[0]
-    t = RipTable.build(g, 3.0, 100.0, 0.01)
+    gates = default_gates()
+    t = build_rip_table(gates)
     r = t.ranges
     assert r[0] == 3.0
     assert r[-1] == pytest.approx(100.0)
     assert len(r) == 9701
-    assert t.values[0] == pytest.approx(rip_value(g, 3.0))
+    assert t.values.shape == (9701, 3)
+    for i, g in enumerate(gates):
+        assert t.values[0, i] == pytest.approx(rip_value(g, 3.0))
+        assert t.values[-1, i] == pytest.approx(rip_value(g, 100.0))
 
 
 def test_depth_recovery_on_grid():
-    tables = build_rip_tables()
     gates = default_gates()
+    table = build_rip_table(gates)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(300):
         r_true = rng.uniform(3.0, 100.0)
         albedo = rng.uniform(0.1, 1.0)
         z = [rip_value(g, r_true) * albedo for g in gates]
-        r_hat = depth_from_ratios(z[0], z[1], z[2], tables)
+        r_hat = depth_from_ratios(z[0], z[1], z[2], table)
         worst = max(worst, abs(r_hat - r_true))
     assert worst <= 0.01 + 1e-9
 
 
 def test_depth_recovery_albedo_invariant():
-    tables = build_rip_tables()
     gates = default_gates()
+    table = build_rip_table(gates)
     z = [rip_value(g, 47.3) for g in gates]
-    a = depth_from_ratios(z[0], z[1], z[2], tables)
-    b = depth_from_ratios(0.05 * z[0], 0.05 * z[1], 0.05 * z[2], tables)
+    a = depth_from_ratios(z[0], z[1], z[2], table)
+    b = depth_from_ratios(0.05 * z[0], 0.05 * z[1], 0.05 * z[2], table)
     assert a == b
 
 
 def test_depth_recovery_insufficient_signal():
-    tables = build_rip_tables()
+    table = build_rip_table(default_gates())
     with pytest.raises(InsufficientSignal):
-        depth_from_ratios(1e-4, 1e-4, 1e-4, tables)
+        depth_from_ratios(1e-4, 1e-4, 1e-4, table)
 
 
 def test_depth_recovery_ambiguous():
@@ -380,23 +383,23 @@ def test_depth_recovery_ambiguous():
     # ranges inside the shared plateau
     g = gate(100, 300, 100, pulse_amplitude=600 / (100 * NS))
     dead = gate(2000, 10, 10)
-    tables = build_rip_tables((g, g, dead), 3.0, 100.0, 0.01)
+    table = build_rip_table((g, g, dead))
     plo, phi = g.plateau_range
     r = (plo + phi) / 2
     z1 = rip_value(g, r)
     with pytest.raises(AmbiguousRange):
-        depth_from_ratios(z1, z1, 0.0, tables)
+        depth_from_ratios(z1, z1, 0.0, table)
 
 
 def test_normalized_ratio_vector_injective_at_working_resolution():
     # non-adjacent grid points must have well-separated normalized signatures,
     # otherwise noiseless range recovery could alias
-    tables = build_rip_tables()
-    vals = np.stack([t.values for t in tables], axis=1)
+    table = build_rip_table(default_gates())
+    vals = table.values
     norms = np.linalg.norm(vals, axis=1)
     assert norms.min() > 0
     unit = vals / norms[:, None]
-    r = tables[0].ranges
+    r = table.ranges
     n = len(r)
     min_sep = math.inf
     block = 600
