@@ -42,10 +42,9 @@ from .errors import (
     TrainingDiverged,
 )
 from .eval import ApResult, EvalConfig, EvalReport, ap_40, evaluate, iou_2d, iou_3d, iou_bev
-from .loss import CodeTargets, LossWeights, smooth_l1
+from .loss import LossWeights, smooth_l1
 from .regressor import (
     MlpParams,
-    Sample,
     TrainConfig,
     extract_features,
     init_params,

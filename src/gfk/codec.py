@@ -91,11 +91,11 @@ def triangulate_depth(h_v: float, h: float, cam: CameraModel) -> float:
 
 
 def frustum_segment(p: Box2D, stats: ObjectClass, k: float, cam: CameraModel,
-                    h_ref: float | None = None) -> FrustumSegment:
+                    h_ref: float) -> FrustumSegment:
     """Depth segment spanned by heights mu_h +- k * sigma_h at p's pixel height.
 
     h_ref picks the anchor height: the true height when encoding, the
-    predicted height when decoding. Defaults to the class mean.
+    predicted height when decoding.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -107,9 +107,8 @@ def frustum_segment(p: Box2D, stats: ObjectClass, k: float, cam: CameraModel,
     z_near = triangulate_depth(p.h_v, h_lo, cam)
     z_far = triangulate_depth(p.h_v, h_hi, cam)
     d = max(z_far - z_near, D_MIN)
-    anchor = h_ref if h_ref is not None else mu_h
     return FrustumSegment(z_near=z_near, z_far=z_far, d=d,
-                          z_anchor=triangulate_depth(p.h_v, anchor, cam))
+                          z_anchor=triangulate_depth(p.h_v, h_ref, cam))
 
 
 def encode(b: Box3D, p: Box2D, stats: ObjectClass, k: float, cam: CameraModel) -> FrustumCode:

@@ -18,7 +18,7 @@ import io
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class EvalConfig:
         default_factory=lambda: {"Car": 0.2, "Pedestrian": 0.1}
     )
     bins: tuple[tuple[float, float], ...] = ((0.0, 30.0), (30.0, 50.0), (50.0, 80.0))
-    kinds: tuple[str, ...] = KINDS
+    kinds: ClassVar[tuple[str, ...]] = KINDS
 
     def __post_init__(self) -> None:
         # With no class or no bin the report has no cell, and bins that share
@@ -56,9 +56,6 @@ class EvalConfig:
                 raise ValueError(f"bad bin ({lo}, {hi})")
             if labels.count(label) > 1:
                 raise ValueError(f"bins: two bins share the label {label}")
-        for kind in self.kinds:
-            if kind not in KINDS:
-                raise ValueError(f"unknown metric kind {kind!r}")
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:
@@ -100,16 +97,12 @@ class ApResult:
 
 
 def ap_40(dets: Sequence, gts: Sequence, iou_fn: Callable, threshold: float,
-          det_frames: Sequence | None = None, gt_frames: Sequence | None = None) -> ApResult:
+          det_frames: Sequence, gt_frames: Sequence) -> ApResult:
     """Average precision over the N_RECALL evenly spaced recall positions.
 
-    Boxes must expose .score. Without frame ids everything is matched in a
-    single frame; with them, matches never cross frames.
+    Boxes must expose .score. det_frames and gt_frames hold one frame id per
+    box; matches never cross frames.
     """
-    if det_frames is None:
-        det_frames = [0] * len(dets)
-    if gt_frames is None:
-        gt_frames = [0] * len(gts)
     if len(det_frames) != len(dets) or len(gt_frames) != len(gts):
         raise ValueError("frame id lists must align with the box lists")
     if not gts:
@@ -168,8 +161,8 @@ class EvalReport:
 
     cells: dict[tuple[str, str, str], ApResult]
     classes: tuple[str, ...]
-    kinds: tuple[str, ...]
     bin_labels: tuple[str, ...]
+    kinds: ClassVar[tuple[str, ...]] = KINDS
 
     def ap(self, cls: str, kind: str, bin_lbl: str) -> float | None:
         return self.cells[(cls, kind, bin_lbl)].ap
@@ -200,7 +193,7 @@ class EvalReport:
 
 
 def evaluate(predictions_path, labels_by_frame: Mapping[str, Path | str],
-             cfg: EvalConfig = EvalConfig()) -> EvalReport:
+             cfg: EvalConfig) -> EvalReport:
     """Score a prediction file against per-frame label files."""
     preds = read_predictions(predictions_path)
     classes = tuple(sorted(cfg.iou_thresholds))
@@ -229,7 +222,7 @@ def evaluate(predictions_path, labels_by_frame: Mapping[str, Path | str],
         threshold = cfg.iou_thresholds[cls]
         cls_dets = [r for r in det_rows if r[1] == cls]
         cls_gts = [r for r in gt_rows if r[1] == cls]
-        for kind in cfg.kinds:
+        for kind in KINDS:
             use_2d = kind == "2d"
             for (lo, hi), lbl in zip(cfg.bins, labels):
                 dets = [r for r in cls_dets if lo <= r[2].z < hi]
@@ -240,7 +233,7 @@ def evaluate(predictions_path, labels_by_frame: Mapping[str, Path | str],
                     boxes_d, boxes_g, iou_fns[kind], threshold,
                     det_frames=[r[0] for r in dets], gt_frames=[r[0] for r in gts],
                 )
-    return EvalReport(cells=cells, classes=classes, kinds=cfg.kinds, bin_labels=labels)
+    return EvalReport(cells=cells, classes=classes, bin_labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,12 @@ from .codec import K_DEFAULT, encode, decode, predictions_to_jsonl, read_predict
 from .errors import (ConfigError, EmptyDataset, FullyOutOfImage, GfkError, ModelParseError,
                      ParseError)
 from .eval import EvalConfig, EvalReport, bev_svg, evaluate
-from .loss import CodeTargets, LossWeights
+from .loss import LossWeights, target_row
 from .records import FieldError, build, convert, get, parse_json, read_jsonl
 from .regressor import (
     FEATURE_SIZE,
     INTENSITY_FEATURES,
     RATIO_FEATURES,
-    Sample,
     TrainConfig,
     extract_features,
     metrics_to_csv,
@@ -63,6 +62,7 @@ from .regressor import (
     train,
 )
 from .ripsim import (
+    POISSON_LAM_MAX,
     GateConfig,
     NoiseConfig,
     default_gates,
@@ -254,7 +254,7 @@ def _field_names(cls, *skip: str) -> tuple[str, ...]:
 
 # The keys of each object section of a run config. A section that exposes
 # every field of its dataclass takes its keys from that dataclass; a field a
-# section does not list (train.seed, eval.kinds, ...) keeps its default.
+# section does not list (train.seed, ...) keeps its default.
 SECTIONS = {
     "dataset": ("dir", "frames"),
     "camera": _field_names(CameraModel),
@@ -352,8 +352,15 @@ def _run_config(payload, base: Path, seed_override: int | None,
     if split not in SPLITS:
         raise ConfigError(f"predict.split: must be one of {SPLITS}, got {split!r}")
     perturb = get(sec["predict"], "perturb", float, 0.0, "predict")
-    if perturb < 0:
-        raise ConfigError(f"predict.perturb: must be >= 0, got {perturb}")
+    if not 0.0 <= perturb <= 1.0:
+        raise ConfigError(f"predict.perturb: must be in [0, 1], got {perturb}")
+
+    # A pixel's shot-noise rate is at most photon_scale times a gate's peak (albedo <= 1).
+    noise = build(NoiseConfig, sec["noise"], "noise")
+    peak = noise.photon_scale * max(g.peak_value for g in gates)
+    if peak >= POISSON_LAM_MAX:
+        raise ConfigError(f"noise.photon_scale: a peak shot-noise rate of {peak:.3g} is at or "
+                          f"above numpy's Poisson limit {POISSON_LAM_MAX:.3g}")
 
     return RunConfig(
         seed=seed,
@@ -362,7 +369,7 @@ def _run_config(payload, base: Path, seed_override: int | None,
         frames=frames,
         camera=camera,
         gates=gates,
-        noise=build(NoiseConfig, sec["noise"], "noise"),
+        noise=noise,
         scene=scene_cfg,
         codec_k=codec_k,
         train_cfg=build(TrainConfig, sec["train"], "train", seed=seed,
@@ -428,20 +435,24 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     }
 
 
-def _feature_mask(ablate_intensity: bool) -> np.ndarray | None:
-    if not ablate_intensity:
-        return None
+def _feature_mask(ablate_intensity: bool) -> np.ndarray:
+    """Ones, with the slice intensity and ratio features zeroed when ablated."""
     mask = np.ones(FEATURE_SIZE)
-    mask[INTENSITY_FEATURES] = 0.0
-    mask[RATIO_FEATURES] = 0.0
+    if ablate_intensity:
+        mask[INTENSITY_FEATURES] = 0.0
+        mask[RATIO_FEATURES] = 0.0
     return mask
 
 
 def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict[str, ObjectClass],
                   k: float, cam: CameraModel,
-                  feature_mask: np.ndarray | None = None) -> list[Sample]:
-    """Load frames and turn every labeled object into a training sample."""
-    samples: list[Sample] = []
+                  feature_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Load frames and turn every labeled object into a training sample.
+
+    Returns the (n, FEATURE_SIZE) masked feature matrix and the (n, 7)
+    loss.target_row matrix, one row per object.
+    """
+    x, t = [], []
     for fid in frame_ids:
         slices = layout.load_slices(fid)
         for obj in read_labels(layout.labels_path(fid)):
@@ -449,12 +460,9 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
             if st is None:
                 logger.warning("%s: no stats for class %r, skipping", fid, obj.box.cls)
                 continue
-            x = extract_features(slices, obj.box2d)
-            if feature_mask is not None:
-                x = x * feature_mask
-            code = encode(obj.box, obj.box2d, st, k, cam)
-            samples.append(Sample(x, CodeTargets.from_code(code)))
-    return samples
+            x.append(extract_features(slices, obj.box2d) * feature_mask)
+            t.append(target_row(encode(obj.box, obj.box2d, st, k, cam)))
+    return np.array(x).reshape(-1, FEATURE_SIZE), np.array(t).reshape(-1, 7)
 
 
 def cmd_train(cfg: RunConfig) -> dict:
@@ -462,16 +470,16 @@ def cmd_train(cfg: RunConfig) -> dict:
     manifest = load_manifest(layout)
     cam = load_calibration(layout.calibration_path)
     mask = _feature_mask(cfg.ablate_intensity)
-    train_samples = build_samples(layout, manifest.splits["train"], manifest.classes,
-                                  cfg.codec_k, cam, mask)
-    val_samples = build_samples(layout, manifest.splits["val"], manifest.classes,
-                                cfg.codec_k, cam, mask)
-    if not train_samples:
+    x, t = build_samples(layout, manifest.splits["train"], manifest.classes,
+                         cfg.codec_k, cam, mask)
+    x_val, t_val = build_samples(layout, manifest.splits["val"], manifest.classes,
+                                 cfg.codec_k, cam, mask)
+    if len(x) == 0:
         raise EmptyDataset(f"{layout.root}: train split has no usable objects")
-    params, history = train(train_samples, cfg.train_cfg, val_samples)
+    params, history = train(x, t, cfg.train_cfg, x_val, t_val)
     meta = {
         "k": cfg.codec_k,
-        "feature_mask": None if mask is None else mask.tolist(),
+        "feature_mask": mask.tolist() if cfg.ablate_intensity else None,
         "classes": class_stats_to_json(manifest.classes),
     }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -480,7 +488,7 @@ def cmd_train(cfg: RunConfig) -> dict:
     return {
         "model": str(cfg.model_path),
         "metrics": str(cfg.metrics_path),
-        "samples": len(train_samples),
+        "samples": len(x),
         "final_train_loss": history[-1].total,
         "final_val_loss": history[-1].val_total,
     }
@@ -495,12 +503,13 @@ def cmd_predict(cfg: RunConfig) -> dict:
         k = get(meta, "k", float, where="meta")
         if k <= 0:
             raise FieldError(f"must be positive, got {k}", "meta.k")
-        mask = get(meta, "feature_mask", tuple[(float,) * FEATURE_SIZE], None, "meta")
+        mask = get(meta, "feature_mask", tuple[(float,) * FEATURE_SIZE], (1.0,) * FEATURE_SIZE,
+                   "meta")
         classes = class_stats_from_json(get(meta, "classes", Mapping[str, dict], where="meta"),
                                         "meta.classes")
     except FieldError as e:
         raise ModelParseError(f"{cfg.model_path}: {e}") from None
-    mask = None if mask is None else np.array(mask)
+    mask = np.array(mask)
 
     frame_ids = manifest.splits[cfg.predict_split]
     rows = []
@@ -511,7 +520,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
         if cfg.perturb_2d > 0:
             rng = np.random.default_rng(_substream(cfg.seed, frame_index(fid), 2))
             boxes2d = [perturb_box2d(b, cfg.perturb_2d, rng) for b in boxes2d]
-        for pred in predict(params, slices, boxes2d, classes, k, cam, feature_mask=mask):
+        for pred in predict(params, slices, boxes2d, classes, k, cam, mask):
             rows.append((fid, pred.box, pred.box2d, pred.code))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.predictions_path, predictions_to_jsonl(rows))

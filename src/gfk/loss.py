@@ -35,24 +35,9 @@ class LossWeights:
             raise ValueError(f"smooth_l1_delta must be positive, got {self.smooth_l1_delta}")
 
 
-@dataclass(frozen=True)
-class CodeTargets:
-    """Ground-truth side of the loss: six offsets plus the target angle."""
-
-    du: float
-    dv: float
-    dz: float
-    dh: float
-    dw: float
-    dl: float
-    theta: float
-
-    @classmethod
-    def from_code(cls, q: FrustumCode) -> "CodeTargets":
-        return cls(q.du, q.dv, q.dz, q.dh, q.dw, q.dl, math.atan2(q.sin_t, q.cos_t))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.du, self.dv, self.dz, self.dh, self.dw, self.dl, self.theta])
+def target_row(q: FrustumCode) -> np.ndarray:
+    """Ground-truth row of the loss: six offsets, then the target angle."""
+    return np.array([q.du, q.dv, q.dz, q.dh, q.dw, q.dl, math.atan2(q.sin_t, q.cos_t)])
 
 
 def smooth_l1(x, delta: float):
@@ -67,7 +52,7 @@ def smooth_l1_grad(x, delta: float):
 
 
 def _loss_batch(pred: np.ndarray, tgt: np.ndarray, w: LossWeights):
-    """Vectorized loss over (B, 8) predictions and (B, 7) targets.
+    """Vectorized loss over (B, 8) predictions and (B, 7) target_row targets.
 
     Returns per-sample parts {loc, dim, ori, total} and the (B, 8) gradient
     of the per-sample total.

@@ -29,7 +29,7 @@ import numpy as np
 from .camera import CameraModel
 from .codec import FrustumCode, decode
 from .errors import EmptyDataset, GfkError, ModelParseError, ShapeMismatch, TrainingDiverged
-from .loss import CodeTargets, LossWeights, _loss_batch
+from .loss import LossWeights, _loss_batch
 from .records import FieldError, get, parse_json
 from .scene import Box2D, Box3D, ObjectClass
 
@@ -151,11 +151,6 @@ def _backward_batch(params: MlpParams, acts: list[np.ndarray], d_out: np.ndarray
 # ---------------------------------------------------------------------------
 # training
 
-class Sample(NamedTuple):
-    features: np.ndarray
-    targets: CodeTargets
-
-
 # Adam moment decay rates and the denominator guard.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -191,7 +186,7 @@ class EpochStats:
     dim: float
     ori: float
     total: float
-    val_total: float = math.nan
+    val_total: float
 
 
 def _mean_loss(params: MlpParams, x: np.ndarray, t: np.ndarray, w: LossWeights) -> float:
@@ -200,25 +195,21 @@ def _mean_loss(params: MlpParams, x: np.ndarray, t: np.ndarray, w: LossWeights) 
     return float(parts["total"].mean())
 
 
-def train(dataset: Sequence[Sample], cfg: TrainConfig,
-          val_dataset: Sequence[Sample] = ()) -> tuple[MlpParams, list[EpochStats]]:
+def train(x: np.ndarray, t: np.ndarray, cfg: TrainConfig, x_val: np.ndarray,
+          t_val: np.ndarray) -> tuple[MlpParams, list[EpochStats]]:
     """Adam over minibatches of the mean per-sample loss.
 
-    Deterministic for a fixed config: parameter init and epoch shuffles run
-    on seeds derived from cfg.seed. Returns the trained parameters and one
-    EpochStats per epoch (val_total is NaN when val_dataset is empty). Raises
-    TrainingDiverged as soon as a minibatch loss is not finite.
+    x and x_val are (n, FEATURE_SIZE) feature matrices, t and t_val the
+    (n, 7) loss.target_row rows. Deterministic for a fixed config: parameter
+    init and epoch shuffles run on seeds derived from cfg.seed. Returns the
+    trained parameters and one EpochStats per epoch (val_total is NaN when
+    the validation set is empty). Raises TrainingDiverged as soon as a
+    minibatch loss is not finite.
     """
-    if len(dataset) == 0:
+    if len(x) == 0:
         raise EmptyDataset("no training samples")
-    x = np.stack([np.asarray(s.features, dtype=np.float64) for s in dataset])
-    t = np.stack([s.targets.as_array() for s in dataset])
     if x.shape[1] != FEATURE_SIZE:
         raise ShapeMismatch(f"features have {x.shape[1]} entries, expected {FEATURE_SIZE}")
-    x_val = t_val = None
-    if len(val_dataset) > 0:
-        x_val = np.stack([np.asarray(s.features, dtype=np.float64) for s in val_dataset])
-        t_val = np.stack([s.targets.as_array() for s in val_dataset])
 
     init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     params = init_params(cfg.sizes, seed=init_ss)
@@ -228,7 +219,7 @@ def train(dataset: Sequence[Sample], cfg: TrainConfig,
     m = np.zeros_like(params.flat)
     v = np.zeros_like(params.flat)
     step = 0
-    n = len(dataset)
+    n = len(x)
     history: list[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n)
@@ -251,7 +242,7 @@ def train(dataset: Sequence[Sample], cfg: TrainConfig,
             params.flat -= (cfg.learning_rate * (m / (1.0 - ADAM_BETA1**step))
                             / (np.sqrt(v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS))
         val_total = math.nan
-        if x_val is not None:
+        if len(x_val) > 0:
             val_total = _mean_loss(params, x_val, t_val, cfg.loss)
         history.append(
             EpochStats(
@@ -277,18 +268,17 @@ class PredictedBox(NamedTuple):
 
 def predict(params: MlpParams, slices: np.ndarray, boxes2d: Sequence[Box2D],
             stats: dict[str, ObjectClass], k: float, cam: CameraModel,
-            feature_mask: np.ndarray | None = None) -> list[PredictedBox]:
+            feature_mask: np.ndarray) -> list[PredictedBox]:
     """Decode one 3D box per 2D box; boxes that fail to decode are dropped
-    with a warning. The 2D score is carried through unchanged."""
+    with a warning. Features are multiplied by feature_mask before the
+    network sees them. The 2D score is carried through unchanged."""
     out: list[PredictedBox] = []
     for p in boxes2d:
         st = stats.get(p.cls)
         if st is None:
             logger.warning("no class stats for %r, skipping box", p.cls)
             continue
-        x = extract_features(slices, p)
-        if feature_mask is not None:
-            x = x * feature_mask
+        x = extract_features(slices, p) * feature_mask
         q = FrustumCode.from_array(_forward_batch(params, x[None])[-1][0])
         try:
             box = decode(q, p, st, k, cam)
@@ -302,12 +292,12 @@ def predict(params: MlpParams, slices: np.ndarray, boxes2d: Sequence[Box2D],
 # ---------------------------------------------------------------------------
 # model and metrics files
 
-def model_to_json(params: MlpParams, meta: dict | None = None) -> str:
+def model_to_json(params: MlpParams, meta: dict) -> str:
     payload = {
         "sizes": list(params.sizes),
         "weights": [w.ravel().tolist() for w in params.weights],  # row-major
         "biases": [b.tolist() for b in params.biases],
-        "meta": meta or {},
+        "meta": meta,
     }
     return json.dumps(payload) + "\n"
 

@@ -80,6 +80,11 @@ class GateConfig:
     def plateau_value(self) -> float:
         return self.gate_amplitude * self.pulse_amplitude * min(self.gate_duration, self.pulse_duration)
 
+    @property
+    def peak_value(self) -> float:
+        """Upper bound of the profile: the plateau, over R_EPS^2 if inverse-square."""
+        return self.plateau_value / (R_EPS**2 if self.inverse_square else 1.0)
+
 
 def _attenuation(gate: GateConfig, r: np.ndarray) -> np.ndarray:
     att = np.exp(-2.0 * gate.attenuation_gamma * r)
@@ -155,6 +160,10 @@ class NoiseConfig:
 
 
 NOISELESS = NoiseConfig(read_noise_sigma=0.0, photon_scale=math.inf, enable_clipping=False)
+
+# The largest rate numpy's Poisson sampler accepts; above it rng.poisson
+# raises ValueError("lam value too large").
+POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 def _measure_array(signal: np.ndarray, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
@@ -260,21 +269,25 @@ AMBIGUITY_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class RipTable:
-    """Profile values of three gates on one range grid.
+    """Normalized ratio vectors of three gates on one range grid.
 
-    ranges has shape (N,); values has shape (N, 3), one column per gate.
+    ranges has shape (N,); ratios has shape (N, 3), each row the three
+    profile values divided by their sum. Ranges where every profile is zero
+    have no ratio vector and are left out.
     """
 
     ranges: np.ndarray
-    values: np.ndarray
+    ratios: np.ndarray
 
 
 def build_rip_table(gates) -> RipTable:
-    """The profiles of three gates tabulated on [3, 100] m in 0.01 m steps,
-    the region where the normalized ratio vector of the default gates is
-    injective."""
+    """Three gates tabulated on [3, 100] m in 0.01 m steps, the region where
+    the normalized ratio vector of the default gates is injective."""
     ranges = 3.0 + 0.01 * np.arange(9701)
-    return RipTable(ranges, np.stack([rip_value(g, ranges) for g in gates], axis=1))
+    values = np.stack([rip_value(g, ranges) for g in gates], axis=1)
+    sums = values.sum(axis=1)
+    valid = sums > 0
+    return RipTable(ranges[valid], values[valid] / sums[valid, None])
 
 
 def depth_from_ratios(z1: float, z2: float, z3: float, table: RipTable) -> float:
@@ -289,13 +302,10 @@ def depth_from_ratios(z1: float, z2: float, z3: float, table: RipTable) -> float
     if total <= TAU_SUM:
         raise InsufficientSignal(f"slice sum {total} <= {TAU_SUM}")
     meas = np.array([z1, z2, z3], dtype=np.float64) / total
-    sums = table.values.sum(axis=1)
-    dist = np.full(len(sums), np.inf)
-    valid = sums > 0
-    diff = table.values[valid] / sums[valid, None] - meas
-    dist[valid] = np.sqrt((diff * diff).sum(axis=1))
-    if not np.any(valid):
+    if len(table.ranges) == 0:
         raise InsufficientSignal("all table entries are zero")
+    diff = table.ratios - meas
+    dist = np.sqrt((diff * diff).sum(axis=1))
     best = int(np.argmin(dist))
     ranges = table.ranges
     far = np.abs(ranges - ranges[best]) > AMBIGUITY_RADIUS

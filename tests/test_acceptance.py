@@ -145,7 +145,7 @@ def test_codec_round_trip_and_segment_fixture():
                         abs(back.l - b.l))
         worst_yaw = max(worst_yaw, abs(wrap_to_pi(back.yaw - b.yaw)))
     seg = frustum_segment(Box2D(cls="Pedestrian", u=640.0, v=360.0, w_u=80.0,
-                                h_v=230.0), PEDESTRIAN, 2.0, cam)
+                                h_v=230.0), PEDESTRIAN, 2.0, cam, h_ref=PEDESTRIAN.dim_mean[0])
     fixture = (seg.z_near == 15.0 and seg.z_far == 20.0 and seg.d == 5.0)
     ok = worst_pos < 1e-6 and worst_dim < 1e-6 and worst_yaw < 1e-6 and fixture
     _check(3, ok, f"10,000 boxes, worst pos {worst_pos:.2e} m, dims "
@@ -214,10 +214,11 @@ def _cube(x, z=20.0, score=1.0):
 
 def test_ap40_fixtures_and_brute_force():
     # one det on one gt; two gts with one perfect det; a fp outscoring one tp
-    one = ap_40([_cube(0.0, score=0.9)], [_cube(0.0)], iou_bev, 0.5).ap
-    half = ap_40([_cube(0.0, score=0.9)], [_cube(0.0), _cube(10.0)], iou_bev, 0.5).ap
+    one = ap_40([_cube(0.0, score=0.9)], [_cube(0.0)], iou_bev, 0.5, ["f"], ["f"]).ap
+    half = ap_40([_cube(0.0, score=0.9)], [_cube(0.0), _cube(10.0)], iou_bev, 0.5,
+                 ["f"], ["f", "f"]).ap
     fp_first = ap_40([_cube(50.0, score=0.9), _cube(0.0, score=0.8)],
-                     [_cube(0.0)], iou_bev, 0.5).ap
+                     [_cube(0.0)], iou_bev, 0.5, ["f", "f"], ["f"]).ap
     fixtures_ok = (one == pytest.approx(1.0, abs=1e-12)
                    and half == pytest.approx(0.5, abs=1e-12)
                    and fp_first == pytest.approx(0.5, abs=1e-12))

@@ -44,7 +44,7 @@ def test_segment_fixture():
     # k=2 around the pedestrian height prior: 1.5 m at 230 px gives 15 m,
     # 2.0 m gives 20 m, so the segment is [15, 20] anchored at 17.5
     p = Box2D(cls="Pedestrian", u=640.0, v=360.0, w_u=80.0, h_v=230.0)
-    seg = frustum_segment(p, PEDESTRIAN, 2.0, DEFAULT_CAMERA)
+    seg = frustum_segment(p, PEDESTRIAN, 2.0, DEFAULT_CAMERA, h_ref=PEDESTRIAN.dim_mean[0])
     assert seg.z_near == 15.0
     assert seg.z_far == 20.0
     assert seg.d == 5.0
@@ -54,7 +54,7 @@ def test_segment_fixture():
 def test_segment_depth_floor():
     # a huge 2D box still yields a usable segment length
     p = Box2D(cls="Pedestrian", u=640.0, v=360.0, w_u=500.0, h_v=14000.0)
-    seg = frustum_segment(p, PEDESTRIAN, 2.0, DEFAULT_CAMERA)
+    seg = frustum_segment(p, PEDESTRIAN, 2.0, DEFAULT_CAMERA, h_ref=PEDESTRIAN.dim_mean[0])
     assert seg.d == 0.25
 
 
@@ -62,7 +62,7 @@ def test_segment_invalid_stats():
     bad = ObjectClass("Pedestrian", (1.75, 0.6, 0.8), 0.9)  # mean - k*sigma <= 0
     p = Box2D(cls="Pedestrian", u=640.0, v=360.0, w_u=80.0, h_v=230.0)
     with pytest.raises(InvalidStats):
-        frustum_segment(p, bad, 2.0, DEFAULT_CAMERA)
+        frustum_segment(p, bad, 2.0, DEFAULT_CAMERA, h_ref=bad.dim_mean[0])
 
 
 def test_encode_dz_fixture():

@@ -110,7 +110,7 @@ def test_iou_bev_rigid_transform_invariance():
 def test_ap_perfect():
     gts = [bev_box(x=i * 10.0) for i in range(4)]
     dets = [bev_box(x=i * 10.0, score=1.0 - 0.1 * i) for i in range(4)]
-    r = ap_40(dets, gts, iou_bev, 0.5)
+    r = ap_40(dets, gts, iou_bev, 0.5, ["f"] * len(dets), ["f"] * len(gts))
     assert r.ap == pytest.approx(1.0)
     assert r.n_matched == 4
 
@@ -119,7 +119,7 @@ def test_ap_half_recall():
     # two gts, one perfect det: precision 1 up to recall 0.5, zero beyond
     gts = [bev_box(x=0.0), bev_box(x=10.0)]
     dets = [bev_box(x=0.0, score=0.9)]
-    r = ap_40(dets, gts, iou_bev, 0.5)
+    r = ap_40(dets, gts, iou_bev, 0.5, ["f"] * len(dets), ["f"] * len(gts))
     assert r.ap == pytest.approx(0.5)
 
 
@@ -128,15 +128,15 @@ def test_ap_false_positive_first():
     # the single positive point has precision 1/2 at recall 1
     gts = [bev_box(x=0.0)]
     dets = [bev_box(x=50.0, score=0.9), bev_box(x=0.0, score=0.8)]
-    r = ap_40(dets, gts, iou_bev, 0.5)
+    r = ap_40(dets, gts, iou_bev, 0.5, ["f"] * len(dets), ["f"] * len(gts))
     assert r.ap == pytest.approx(0.5)
     assert r.n_matched == 1
 
 
 def test_ap_empty_cells():
-    assert ap_40([], [], iou_bev, 0.5).ap is None
-    assert ap_40([], [bev_box()], iou_bev, 0.5).ap == 0.0
-    assert ap_40([bev_box(score=0.5)], [], iou_bev, 0.5).ap == 0.0
+    assert ap_40([], [], iou_bev, 0.5, [], []).ap is None
+    assert ap_40([], [bev_box()], iou_bev, 0.5, [], ["f"]).ap == 0.0
+    assert ap_40([bev_box(score=0.5)], [], iou_bev, 0.5, ["f"], []).ap == 0.0
 
 
 def test_ap_respects_frames():
@@ -153,7 +153,7 @@ def test_ap_threshold_boundary():
     # iou exactly at the threshold counts as a match
     gts = [bev_box()]
     dets = [bev_box(score=0.9)]
-    r = ap_40(dets, gts, iou_bev, 1.0)
+    r = ap_40(dets, gts, iou_bev, 1.0, ["f"], ["f"])
     assert r.ap == pytest.approx(1.0)
 
 
@@ -162,9 +162,10 @@ def test_ap_greedy_takes_best_gt():
     g_best = bev_box(x=0.0)
     g_other = bev_box(x=1.0)
     det = bev_box(x=0.2, score=0.9)
-    r = ap_40([det], [g_best, g_other], iou_bev, 0.1)
+    r = ap_40([det], [g_best, g_other], iou_bev, 0.1, ["f"], ["f", "f"])
     assert r.n_matched == 1
-    r2 = ap_40([det, bev_box(x=0.0, score=0.8)], [g_best, g_other], iou_bev, 0.1)
+    r2 = ap_40([det, bev_box(x=0.0, score=0.8)], [g_best, g_other], iou_bev, 0.1,
+               ["f", "f"], ["f", "f"])
     assert r2.n_matched == 2  # second det falls back to the remaining gt
 
 
@@ -173,10 +174,11 @@ def test_ap_score_monotone_invariance():
     gts = [bev_box(x=rng.uniform(-10, 10), z=rng.uniform(10, 40)) for _ in range(6)]
     dets = [bev_box(x=g.x + rng.normal(0, 1.0), z=g.z + rng.normal(0, 1.0),
                     score=s) for g, s in zip(gts, rng.uniform(0.1, 0.9, size=6))]
-    a = ap_40(dets, gts, iou_bev, 0.1).ap
+    frames = ["f"] * 6
+    a = ap_40(dets, gts, iou_bev, 0.1, frames, frames).ap
     remapped = [Box3D(cls=d.cls, x=d.x, y=d.y, z=d.z, h=d.h, w=d.w, l=d.l,
                       yaw=d.yaw, score=d.score ** 3) for d in dets]
-    b = ap_40(remapped, gts, iou_bev, 0.1).ap
+    b = ap_40(remapped, gts, iou_bev, 0.1, frames, frames).ap
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -219,9 +221,10 @@ def test_ap_extra_zero_iou_tail_det_never_helps():
             dets.append(bev_box(x=base.x + rng.normal(0, 2.0),
                                 z=base.z + rng.normal(0, 2.0),
                                 score=float(scores[i])))
-        before = ap_40(dets, gts, iou_bev, 0.2).ap
+        gt_frames = ["f"] * n_gt
+        before = ap_40(dets, gts, iou_bev, 0.2, ["f"] * n_det, gt_frames).ap
         stray = bev_box(x=500.0, z=500.0, score=0.01)
-        after = ap_40(dets + [stray], gts, iou_bev, 0.2).ap
+        after = ap_40(dets + [stray], gts, iou_bev, 0.2, ["f"] * (n_det + 1), gt_frames).ap
         assert after <= before + 1e-12, trial
 
 

@@ -178,6 +178,9 @@ def _gates(**first):
     ({"eval": {"bins": []}}, None, "eval: bins: at least one range bin required"),
     ({"eval": {"bins": [[0, 30], [0, 30.0000001]]}}, None,
      "eval: bins: two bins share the label 0-30m"),
+    ({"noise": {"photon_scale": 1e20}}, None, "noise.photon_scale: a peak shot-noise rate"),
+    ({"gates": _gates(gate_amplitude=1e300)}, None, "noise.photon_scale: a peak shot-noise rate"),
+    ({"predict": {"perturb": 1000}}, None, "predict.perturb: must be in [0, 1]"),
 ])
 def test_config_rejects_malformed_values(tmp_path, capsys, overrides, seed_override, where):
     p = write_config(tmp_path, overrides)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfk import CodeTargets, FrustumCode, LossWeights, smooth_l1
-from gfk.loss import _loss_batch, smooth_l1_grad
+from gfk import FrustumCode, LossWeights, smooth_l1
+from gfk.loss import _loss_batch, smooth_l1_grad, target_row
 
 from oracles import fd_gradient
 
@@ -41,20 +41,22 @@ def test_smooth_l1_vectorized():
 
 
 def make_target(**kw):
+    """A (7,) target row: du, dv, dz, dh, dw, dl, theta; zero where not given."""
     base = dict(du=0.0, dv=0.0, dz=0.0, dh=0.0, dw=0.0, dl=0.0, theta=0.0)
     base.update(kw)
-    return CodeTargets(**base)
+    return np.array(list(base.values()))
 
 
-def loss_of_one(q: FrustumCode, t: CodeTargets, w: LossWeights = LossWeights()):
+def loss_of_one(q: FrustumCode, t: np.ndarray, w: LossWeights = LossWeights()):
     """_loss_batch on a batch of one: the per-term floats and the (8,) gradient."""
-    parts, grad = _loss_batch(q.as_array()[None], t.as_array()[None], w)
+    parts, grad = _loss_batch(q.as_array()[None], t[None], w)
     return {key: float(val[0]) for key, val in parts.items()}, grad[0]
 
 
 def test_perfect_prediction_zero_loss():
     t = make_target(du=0.3, dz=-0.2, theta=0.8)
     q = FrustumCode(0.3, 0.0, -0.2, 0.0, 0.0, 0.0, math.sin(0.8), math.cos(0.8))
+    assert target_row(q) == pytest.approx(t, abs=1e-15)
     parts, grad = loss_of_one(q, t)
     assert parts["total"] == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(grad, 0.0, atol=1e-12)
@@ -98,12 +100,12 @@ def test_loc_uses_alpha_dim_does_not():
 )
 def test_gradient_matches_finite_differences(pred, tvals, theta, alpha, beta, delta):
     w = LossWeights(alpha=alpha, beta=beta, smooth_l1_delta=delta)
-    t = CodeTargets(*tvals, theta=theta)
+    t = np.array([*tvals, theta])
     p = np.asarray(pred)
     # keep the smooth-l1 inputs away from the |x| = delta seam where the
     # second derivative jumps and central differences misbehave
     for i in range(6):
-        if abs(abs(p[i] - t.as_array()[i]) - delta) < 1e-3:
+        if abs(abs(p[i] - t[i]) - delta) < 1e-3:
             p[i] += 5e-3
     _, grad = loss_of_one(FrustumCode.from_array(p), t, w)
 

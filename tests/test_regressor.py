@@ -14,7 +14,6 @@ from gfk import (
     DEFAULT_CAMERA,
     EmptyDataset,
     ModelParseError,
-    Sample,
     ShapeMismatch,
     TrainConfig,
     TrainingDiverged,
@@ -24,7 +23,7 @@ from gfk import (
     train,
 )
 from gfk.codec import encode
-from gfk.loss import CodeTargets, LossWeights, _loss_batch
+from gfk.loss import LossWeights, _loss_batch, target_row
 from gfk.regressor import (
     CLASS_FEATURES,
     FEATURE_SIZE,
@@ -51,11 +50,19 @@ def centered_box(cls="Car", h=40, w=60):
     return Box2D(cls=cls, u=w / 2, v=h / 2, w_u=w / 2, h_v=h / 2)
 
 
+NO_VAL = (np.zeros((0, FEATURE_SIZE)), np.zeros((0, 7)))
+NO_MASK = np.ones(FEATURE_SIZE)
+
+
 def small_dataset():
+    """Ten (features, targets) rows; per row the features are drawn first,
+    then the six offsets and the angle."""
     rng = np.random.default_rng(2)
-    return [Sample(rng.normal(size=FEATURE_SIZE),
-                   CodeTargets(*rng.normal(size=6) * 0.1, theta=rng.uniform(-3, 3)))
-            for _ in range(10)]
+    x, t = [], []
+    for _ in range(10):
+        x.append(rng.normal(size=FEATURE_SIZE))
+        t.append(np.append(rng.normal(size=6) * 0.1, rng.uniform(-3, 3)))
+    return np.array(x), np.array(t)
 
 
 SMALL_CFG = TrainConfig(hidden_sizes=(16,), epochs=5, batch_size=4, seed=3)
@@ -196,20 +203,19 @@ def test_backward_matches_finite_differences():
 
 def test_train_overfits_one_sample():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=FEATURE_SIZE)
-    t = CodeTargets(0.1, -0.2, 0.3, 0.05, -0.05, 0.1, 0.7)
-    ds = [Sample(x, t)]
+    x = rng.normal(size=(1, FEATURE_SIZE))
+    t = np.array([[0.1, -0.2, 0.3, 0.05, -0.05, 0.1, 0.7]])
     cfg = TrainConfig(hidden_sizes=(32,), epochs=300, batch_size=1,
                       learning_rate=1e-2, seed=1)
-    params, history = train(ds, cfg)
+    params, history = train(x, t, cfg, *NO_VAL)
     assert history[-1].total < 1e-3
     assert len(history) == 300
     assert history[0].total > history[-1].total
 
 
 def test_train_deterministic():
-    p1, h1 = train(small_dataset(), SMALL_CFG)
-    p2, h2 = train(small_dataset(), SMALL_CFG)
+    p1, h1 = train(*small_dataset(), SMALL_CFG, *NO_VAL)
+    p2, h2 = train(*small_dataset(), SMALL_CFG, *NO_VAL)
     np.testing.assert_array_equal(p1.flat, p2.flat)
     assert h1 == h2
 
@@ -218,7 +224,7 @@ def test_train_golden_fixture():
     # final parameters and per-epoch losses of a fixed run, pinned so that a
     # rewrite of the network or the optimizer cannot change trained values
     golden = json.loads((Path(__file__).parent / "data" / "train_small_golden.json").read_text())
-    params, history = train(small_dataset(), SMALL_CFG)
+    params, history = train(*small_dataset(), SMALL_CFG, *NO_VAL)
     np.testing.assert_allclose(params.flat, golden["flat"], rtol=0, atol=1e-12)
     np.testing.assert_allclose([[h.loc, h.dim, h.ori, h.total] for h in history],
                                golden["losses"], rtol=0, atol=1e-12)
@@ -229,26 +235,24 @@ def test_train_stops_on_a_non_finite_loss():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TrainingDiverged, match=r"^loss is (inf|nan) at epoch 1, step 2$"):
-            train(small_dataset(), cfg)
+            train(*small_dataset(), cfg, *NO_VAL)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_train_validation_loss_reported():
     rng = np.random.default_rng(5)
-    mk = lambda: Sample(rng.normal(size=FEATURE_SIZE),
-                        CodeTargets(0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5))
-    params, history = train([mk() for _ in range(8)],
-                            TrainConfig(hidden_sizes=(8,), epochs=3, seed=0),
-                            val_dataset=[mk() for _ in range(4)])
+    mk = lambda n: (rng.normal(size=(n, FEATURE_SIZE)),
+                    np.tile([0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5], (n, 1)))
+    cfg = TrainConfig(hidden_sizes=(8,), epochs=3, seed=0)
+    params, history = train(*mk(8), cfg, *mk(4))
     assert all(math.isfinite(e.val_total) for e in history)
-    no_val, history2 = train([mk() for _ in range(8)],
-                             TrainConfig(hidden_sizes=(8,), epochs=3, seed=0))
+    no_val, history2 = train(*mk(8), cfg, *NO_VAL)
     assert all(math.isnan(e.val_total) for e in history2)
 
 
 def test_train_empty_dataset():
     with pytest.raises(EmptyDataset):
-        train([], TrainConfig())
+        train(*NO_VAL, TrainConfig(), *NO_VAL)
 
 
 def test_predict_decodes_boxes():
@@ -256,12 +260,11 @@ def test_predict_decodes_boxes():
     b = Box3D(cls="Car", x=1.0, y=1.65, z=30.0, h=1.55, w=1.85, l=4.3, yaw=0.2)
     p2d = oracle_box2d(b, DEFAULT_CAMERA)
     frame = const_frame(200, 400, 100, h=720, w=1280)
-    x = extract_features(frame, p2d)
-    code = encode(b, p2d, CAR, 2.0, DEFAULT_CAMERA)
-    ds = [Sample(x, CodeTargets.from_code(code))]
-    params, _ = train(ds, TrainConfig(hidden_sizes=(16,), epochs=200,
-                                      learning_rate=1e-2, batch_size=1, seed=0))
-    out = predict(params, frame, [p2d], {"Car": CAR}, 2.0, DEFAULT_CAMERA)
+    x = extract_features(frame, p2d)[None]
+    t = target_row(encode(b, p2d, CAR, 2.0, DEFAULT_CAMERA))[None]
+    params, _ = train(x, t, TrainConfig(hidden_sizes=(16,), epochs=200,
+                                        learning_rate=1e-2, batch_size=1, seed=0), *NO_VAL)
+    out = predict(params, frame, [p2d], {"Car": CAR}, 2.0, DEFAULT_CAMERA, NO_MASK)
     assert len(out) == 1
     pb = out[0]
     assert pb.box.cls == "Car"
@@ -278,7 +281,7 @@ def test_predict_skips_undecodable():
     params.biases[-1][3] = -5.0  # dh -> decoded height <= 0
     frame = const_frame(100, 100, 100, h=720, w=1280)
     p2d = Box2D(cls="Car", u=640.0, v=360.0, w_u=100.0, h_v=80.0)
-    out = predict(params, frame, [p2d], {"Car": CAR}, 2.0, DEFAULT_CAMERA)
+    out = predict(params, frame, [p2d], {"Car": CAR}, 2.0, DEFAULT_CAMERA, NO_MASK)
     assert out == []
 
 
@@ -286,7 +289,7 @@ def test_predict_unknown_class_skipped():
     params = init_params(sizes=(FEATURE_SIZE, 64, 64, 8), seed=0)
     frame = const_frame(100, 100, 100)
     p2d = Box2D(cls="Tree", u=30.0, v=20.0, w_u=10.0, h_v=10.0)
-    out = predict(params, frame, [p2d], {"Car": CAR}, 2.0, DEFAULT_CAMERA)
+    out = predict(params, frame, [p2d], {"Car": CAR}, 2.0, DEFAULT_CAMERA, NO_MASK)
     assert out == []
 
 
@@ -302,11 +305,11 @@ def test_model_json_roundtrip():
 def test_model_parse_errors():
     with pytest.raises(ModelParseError):
         parse_model("not json")
-    good = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0)))
+    good = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0), {}))
     good["weights"][0] = good["weights"][0][:-1]  # truncate the flat weight list
     with pytest.raises(ModelParseError):
         parse_model(json.dumps(good))
-    bad_sizes = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0)))
+    bad_sizes = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0), {}))
     bad_sizes["sizes"] = [24]
     with pytest.raises(ModelParseError):
         parse_model(json.dumps(bad_sizes))
@@ -314,9 +317,9 @@ def test_model_parse_errors():
 
 def test_metrics_csv_shape():
     rng = np.random.default_rng(1)
-    ds = [Sample(rng.normal(size=FEATURE_SIZE),
-                 CodeTargets(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)) for _ in range(4)]
-    _, history = train(ds, TrainConfig(hidden_sizes=(8,), epochs=3, seed=0))
+    x = rng.normal(size=(4, FEATURE_SIZE))
+    _, history = train(x, np.zeros((4, 7)), TrainConfig(hidden_sizes=(8,), epochs=3, seed=0),
+                       *NO_VAL)
     text = metrics_to_csv(history)
     lines = text.strip().splitlines()
     assert lines[0] == "epoch,loc,dim,ori,total,val_total"

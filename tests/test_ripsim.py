@@ -111,6 +111,7 @@ def test_rip_against_quadrature_oracle():
         want = quad_rip(g, r)
         got = rip_value(g, r)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-18), (g, r)
+        assert got <= g.peak_value * (1 + 1e-12), (g, r)
 
 
 def test_attenuation_factors():
@@ -127,6 +128,7 @@ def test_attenuation_factors():
     plain_near = GateConfig(delay=0.0, gate_duration=500 * NS, pulse_duration=100 * NS)
     assert rip_value(g_near, 0.1) == pytest.approx(rip_value(plain_near, 0.1) / 0.25)
     assert rip_value(g_near, 0.2) == pytest.approx(rip_value(plain_near, 0.2) / 0.25)
+    assert rip_value(g_near, 0.1) == pytest.approx(g_near.peak_value)  # the bound is reached
 
 
 def test_default_gates_cover_working_range():
@@ -343,10 +345,10 @@ def test_table_build_grid():
     assert r[0] == 3.0
     assert r[-1] == pytest.approx(100.0)
     assert len(r) == 9701
-    assert t.values.shape == (9701, 3)
-    for i, g in enumerate(gates):
-        assert t.values[0, i] == pytest.approx(rip_value(g, 3.0))
-        assert t.values[-1, i] == pytest.approx(rip_value(g, 100.0))
+    assert t.ratios.shape == (9701, 3)
+    for row, r_row in ((0, 3.0), (-1, 100.0)):
+        values = np.array([rip_value(g, r_row) for g in gates])
+        assert t.ratios[row] == pytest.approx(values / values.sum())
 
 
 def test_depth_recovery_on_grid():
@@ -376,6 +378,10 @@ def test_depth_recovery_insufficient_signal():
     table = build_rip_table(default_gates())
     with pytest.raises(InsufficientSignal):
         depth_from_ratios(1e-4, 1e-4, 1e-4, table)
+    # gates that see nothing on [3, 100] m leave the table without a row
+    dead = gate(2000, 10, 10)
+    with pytest.raises(InsufficientSignal, match="all table entries are zero"):
+        depth_from_ratios(1.0, 2.0, 3.0, build_rip_table((dead, dead, dead)))
 
 
 def test_depth_recovery_ambiguous():
@@ -395,7 +401,7 @@ def test_normalized_ratio_vector_injective_at_working_resolution():
     # non-adjacent grid points must have well-separated normalized signatures,
     # otherwise noiseless range recovery could alias
     table = build_rip_table(default_gates())
-    vals = table.values
+    vals = table.ratios
     norms = np.linalg.norm(vals, axis=1)
     assert norms.min() > 0
     unit = vals / norms[:, None]
