@@ -154,7 +154,7 @@ def decode(q: FrustumCode, p: Box2D, stats: ObjectClass, k: float, cam: CameraMo
 # ---------------------------------------------------------------------------
 # prediction files: one JSON object per line
 
-def parse_prediction(rec, where: str = "prediction") -> tuple[str, Box3D, Box2D, FrustumCode]:
+def parse_prediction(rec, where: str) -> tuple[str, Box3D, Box2D, FrustumCode]:
     try:
         box, box2d = parse_box(rec, get(rec, "score", float))
         code = FrustumCode(*get(rec, "code", tuple[(float,) * 8]))

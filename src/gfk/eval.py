@@ -239,13 +239,10 @@ def evaluate(predictions_path, labels_by_frame: Mapping[str, Path | str],
 # ---------------------------------------------------------------------------
 # BEV sketches
 
-def bev_svg(gts: Sequence[Box3D], dets: Sequence[Box3D],
-            x_range: tuple[float, float] = (-40.0, 40.0),
-            z_range: tuple[float, float] = (0.0, 110.0),
-            scale: float = 6.0) -> str:
-    """A BEV sketch of one frame: ground truth green, detections orange."""
-    x0, x1 = x_range
-    z0, z1 = z_range
+def bev_svg(gts: Sequence[Box3D], dets: Sequence[Box3D]) -> str:
+    """A BEV sketch of one frame, x in [-40, 40] m and z in [0, 110] m at
+    6 px/m: ground truth green, detections orange."""
+    x0, x1, z0, z1, scale = -40.0, 40.0, 0.0, 110.0, 6.0
     w = (x1 - x0) * scale
     h = (z1 - z0) * scale
 

@@ -44,8 +44,7 @@ from .camera import (
     wrap_to_pi,
 )
 from .codec import K_DEFAULT, encode, decode, predictions_to_jsonl, read_predictions
-from .errors import (ConfigError, EmptyDataset, FullyOutOfImage, GfkError, ModelParseError,
-                     ParseError)
+from .errors import ConfigError, EmptyDataset, FullyOutOfImage, GfkError, ParseError
 from .eval import EvalConfig, EvalReport, bev_svg, evaluate
 from .loss import LossWeights, target_row
 from .records import FieldError, build, convert, get, parse_json, read_jsonl
@@ -308,16 +307,11 @@ def _run_config(payload, base: Path, seed_override: int | None,
         where = "config.seed" if seed_override is None else "--seed"
         raise ConfigError(f"{where}: must be >= 0, got {seed}")
 
-    out_raw = out_override if out_override is not None else get(payload, "out_dir", str,
-                                                                "runs/out", "config")
-    out_dir = Path(out_raw)
-    if not out_dir.is_absolute() and out_override is None:
-        out_dir = base / out_dir
+    out_dir = (Path(out_override) if out_override is not None
+               else base / get(payload, "out_dir", str, "runs/out", "config"))
 
     ds_dir_raw = get(sec["dataset"], "dir", str, None, "dataset")
-    dataset_dir = Path(ds_dir_raw) if ds_dir_raw else out_dir / "dataset"
-    if ds_dir_raw and not dataset_dir.is_absolute():
-        dataset_dir = base / dataset_dir
+    dataset_dir = base / ds_dir_raw if ds_dir_raw else out_dir / "dataset"
     frames_sec = _section(sec["dataset"].get("frames"), "dataset.frames", SPLITS)
     frames = {s: get(frames_sec, s, int, 0, "dataset.frames") for s in SPLITS}
     for s, n in frames.items():
@@ -403,7 +397,9 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     def make_frame(index: int) -> bool:
         fid = frame_ids[index]
         scene_rng = np.random.default_rng(_substream(cfg.seed, index, 0))
-        scn = sample_scene(cfg.scene, scene_rng, frame_id=fid)
+        scn = sample_scene(cfg.scene, scene_rng)
+        if scn.placement_warning:
+            logger.warning("%s: placement retries exhausted, dropped at least one object", fid)
         render_seed = int(_substream(cfg.seed, index, 1).generate_state(1)[0])
         frame = render_frame(scn, cfg.gates, cfg.camera, cfg.noise, seed=render_seed)
         labeled = []
@@ -477,13 +473,8 @@ def cmd_train(cfg: RunConfig) -> dict:
     if len(x) == 0:
         raise EmptyDataset(f"{layout.root}: train split has no usable objects")
     params, history = train(x, t, cfg.train_cfg, x_val, t_val)
-    meta = {
-        "k": cfg.codec_k,
-        "feature_mask": mask.tolist() if cfg.ablate_intensity else None,
-        "classes": class_stats_to_json(manifest.classes),
-    }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(cfg.model_path, model_to_json(params, meta))
+    atomic_write_text(cfg.model_path, model_to_json(params, cfg.codec_k, mask, manifest.classes))
     atomic_write_text(cfg.metrics_path, metrics_to_csv(history))
     return {
         "model": str(cfg.model_path),
@@ -498,18 +489,8 @@ def cmd_predict(cfg: RunConfig) -> dict:
     layout = DatasetLayout(cfg.dataset_dir)
     manifest = load_manifest(layout)
     cam = load_calibration(layout.calibration_path)
-    params, meta = parse_model(cfg.model_path.read_text(), where=str(cfg.model_path))
-    try:  # the codec k, feature mask and class stats the model was trained with
-        k = get(meta, "k", float, where="meta")
-        if k <= 0:
-            raise FieldError(f"must be positive, got {k}", "meta.k")
-        mask = get(meta, "feature_mask", tuple[(float,) * FEATURE_SIZE], (1.0,) * FEATURE_SIZE,
-                   "meta")
-        classes = class_stats_from_json(get(meta, "classes", Mapping[str, dict], where="meta"),
-                                        "meta.classes")
-    except FieldError as e:
-        raise ModelParseError(f"{cfg.model_path}: {e}") from None
-    mask = np.array(mask)
+    # the codec k, feature mask and class stats the model was trained with
+    params, k, mask, classes = parse_model(cfg.model_path.read_text(), str(cfg.model_path))
 
     frame_ids = manifest.splits[cfg.predict_split]
     rows = []
@@ -675,10 +656,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"(see {cfg.codec_check_path})")
         else:  # pragma: no cover - argparse enforces the choices
             raise AssertionError(args.command)
-    except GfkError as e:
-        print(f"gfk-error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (GfkError, OSError) as e:
         print(f"gfk-error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     return 0

@@ -1,7 +1,7 @@
 """Binary PGM (P5) read/write for gated slices.
 
-Slices are stored with maxval 1023; any maxval above 255 uses two bytes per
-pixel, most significant byte first, per the netpbm convention.
+Slices are stored with maxval noise.full_scale; any maxval above 255 uses two
+bytes per pixel, most significant byte first, per the netpbm convention.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ParseError
 
 
-def encode_pgm(image: np.ndarray, maxval: int = 1023) -> bytes:
+def encode_pgm(image: np.ndarray, maxval: int) -> bytes:
     if image.ndim != 2:
         raise ValueError(f"expected a 2D image, got shape {image.shape}")
     if not (0 < maxval < 65536):

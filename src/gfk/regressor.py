@@ -22,7 +22,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .codec import FrustumCode, decode
 from .errors import EmptyDataset, GfkError, ModelParseError, ShapeMismatch, TrainingDiverged
 from .loss import LossWeights, _loss_batch
 from .records import FieldError, get, parse_json
-from .scene import Box2D, Box3D, ObjectClass
+from .scene import Box2D, Box3D, ObjectClass, class_stats_from_json, class_stats_to_json
 
 logger = logging.getLogger(__name__)
 
@@ -292,24 +292,40 @@ def predict(params: MlpParams, slices: np.ndarray, boxes2d: Sequence[Box2D],
 # ---------------------------------------------------------------------------
 # model and metrics files
 
-def model_to_json(params: MlpParams, meta: dict) -> str:
+def model_to_json(params: MlpParams, k: float, feature_mask: np.ndarray,
+                  classes: dict[str, ObjectClass]) -> str:
+    """The network and the meta predict decodes with: the codec k, the feature
+    mask (null when nothing is ablated) and the class statistics."""
     payload = {
         "sizes": list(params.sizes),
         "weights": [w.ravel().tolist() for w in params.weights],  # row-major
         "biases": [b.tolist() for b in params.biases],
-        "meta": meta,
+        "meta": {
+            "k": k,
+            "feature_mask": None if np.all(feature_mask == 1.0) else feature_mask.tolist(),
+            "classes": class_stats_to_json(classes),
+        },
     }
     return json.dumps(payload) + "\n"
 
 
-def parse_model(text: str, where: str = "model") -> tuple[MlpParams, dict]:
-    """Inverse of model_to_json: the network and the meta object as stored."""
+def parse_model(text: str, where: str) -> tuple[MlpParams, float, np.ndarray,
+                                                dict[str, ObjectClass]]:
+    """Inverse of model_to_json: (params, k, feature_mask, classes); a null or
+    absent feature mask reads as all ones."""
     try:
         payload = parse_json(text)
         sizes = get(payload, "sizes", tuple[int, ...])
         raw_w = get(payload, "weights", list)
         raw_b = get(payload, "biases", list)
-        meta = get(payload, "meta", dict, {})
+        meta = get(payload, "meta", dict)
+        k = get(meta, "k", float, where="meta")
+        if k <= 0:
+            raise FieldError(f"must be positive, got {k}", "meta.k")
+        mask = get(meta, "feature_mask", tuple[(float,) * FEATURE_SIZE], (1.0,) * FEATURE_SIZE,
+                   "meta")
+        classes = class_stats_from_json(get(meta, "classes", Mapping[str, dict], where="meta"),
+                                        "meta.classes")
     except FieldError as e:
         raise ModelParseError(f"{where}: {e}") from None
     if len(sizes) < 2 or len(raw_w) != len(sizes) - 1 or len(raw_b) != len(sizes) - 1:
@@ -332,7 +348,7 @@ def parse_model(text: str, where: str = "model") -> tuple[MlpParams, dict]:
         layers += [w, b]
     params = MlpParams(sizes)  # allocated only once the stored counts match sizes
     params.flat[:] = np.concatenate(layers)
-    return params, meta
+    return params, k, np.array(mask), classes
 
 
 def metrics_to_csv(history: Sequence[EpochStats]) -> str:

@@ -10,7 +10,6 @@ vertical axis.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,8 +21,6 @@ from .camera import DEFAULT_CAMERA, CameraModel, CamPoint, project, wrap_to_pi
 from .errors import BehindCamera, FullyOutOfImage, InvalidAlbedo, ParseError
 from .geometry import convex_intersection_area, rect_corners
 from .records import FieldError, build, get, read_jsonl
-
-logger = logging.getLogger(__name__)
 
 # Corners behind this z (meters) are clipped before projection.
 Z_CLIP = 1e-3
@@ -142,7 +139,6 @@ class SceneDescription:
     objects: tuple[SceneObject, ...]
     background_albedo: float = 0.0
     background_range: float = 150.0
-    frame_id: str = ""
     placement_warning: bool = False
 
     def __post_init__(self) -> None:
@@ -183,19 +179,27 @@ class SceneConfig:
             raise ValueError(f"ground_y_jitter must be >= 0, got {self.ground_y_jitter}")
         if not self.classes:
             raise ValueError("at least one object class required")
+        if self.x_margin < 0.0:
+            raise ValueError(f"x_margin must be >= 0, got {self.x_margin}")
+        if not 0.0 <= self.background_albedo <= 1.0:
+            raise ValueError(f"background_albedo {self.background_albedo} outside [0, 1]")
+        if self.background_range < 0.0:
+            raise ValueError(f"background_range must be >= 0, got {self.background_range}")
+        if self.max_retries < 1:
+            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
 
 
-def _trunc_normal(rng: np.random.Generator, mean: float, sigma: float, floor: float = 0.01) -> float:
-    # resample until within +-3 sigma; keeps dimensions positive for sane stats
+def _trunc_normal(rng: np.random.Generator, mean: float, sigma: float) -> float:
+    # resample until within +-3 sigma and above 1 cm; keeps dimensions positive
     if sigma <= 0:
         return mean
     while True:
         x = rng.normal(mean, sigma)
-        if abs(x - mean) <= 3.0 * sigma and x > floor:
+        if abs(x - mean) <= 3.0 * sigma and x > 0.01:
             return float(x)
 
 
-def sample_scene(cfg: SceneConfig, rng: np.random.Generator, frame_id: str = "") -> SceneDescription:
+def sample_scene(cfg: SceneConfig, rng: np.random.Generator) -> SceneDescription:
     """Draw a random scene with pairwise disjoint BEV footprints.
 
     Placement is rejection-sampled; if an object cannot be placed within
@@ -208,7 +212,6 @@ def sample_scene(cfg: SceneConfig, rng: np.random.Generator, frame_id: str = "")
     footprints: list[np.ndarray] = []
     warning = False
     for _ in range(n):
-        placed = False
         for _ in range(cfg.max_retries):
             cls = cfg.classes[int(rng.integers(len(cfg.classes)))]
             mh, mw, ml = cls.dim_mean
@@ -230,16 +233,13 @@ def sample_scene(cfg: SceneConfig, rng: np.random.Generator, frame_id: str = "")
                 albedo = float(rng.uniform(*cfg.albedo_range))
                 objects.append(SceneObject(box, albedo))
                 footprints.append(corners)
-                placed = True
                 break
-        if not placed:
+        else:
             warning = True
-            logger.warning("scene %s: placement retries exhausted, dropping an object", frame_id)
     return SceneDescription(
         objects=tuple(objects),
         background_albedo=cfg.background_albedo,
         background_range=cfg.background_range,
-        frame_id=frame_id,
         placement_warning=warning,
     )
 
@@ -327,7 +327,7 @@ def parse_box(rec, score: float = 1.0) -> tuple[Box3D, Box2D]:
         raise FieldError(str(e), "box2d") from None
 
 
-def parse_label(rec, where: str = "label") -> LabeledObject:
+def parse_label(rec, where: str) -> LabeledObject:
     try:
         box, box2d = parse_box(rec)
         return LabeledObject(box, box2d, get(rec, "albedo", float))

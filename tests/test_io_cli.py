@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -181,6 +182,10 @@ def _gates(**first):
     ({"noise": {"photon_scale": 1e20}}, None, "noise.photon_scale: a peak shot-noise rate"),
     ({"gates": _gates(gate_amplitude=1e300)}, None, "noise.photon_scale: a peak shot-noise rate"),
     ({"predict": {"perturb": 1000}}, None, "predict.perturb: must be in [0, 1]"),
+    ({"scene": {"x_margin": -3}}, None, "scene: x_margin must be >= 0"),
+    ({"scene": {"background_albedo": 2.0}}, None, "scene: background_albedo 2.0 outside [0, 1]"),
+    ({"scene": {"background_range": -5}}, None, "scene: background_range must be >= 0"),
+    ({"scene": {"max_retries": 0}}, None, "scene: max_retries must be >= 1"),
 ])
 def test_config_rejects_malformed_values(tmp_path, capsys, overrides, seed_override, where):
     p = write_config(tmp_path, overrides)
@@ -252,6 +257,15 @@ def test_gfk_threads_parsing(monkeypatch):
         gfk_threads()
 
 
+def test_readme_names_every_subcommand_and_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = io_cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = [*sub.choices, *(opt for p in (parser, *sub.choices.values())
+                             for a in p._actions for opt in a.option_strings)]
+    assert [n for n in names if not re.search(rf"(?<![\w-]){re.escape(n)}(?![\w-])", readme)] == []
+
+
 def test_frame_index():
     assert frame_index("frame_000042") == 42
     with pytest.raises(ParseError):
@@ -279,6 +293,19 @@ def test_simulate_layout_and_manifest(tmp_path):
     assert load_calibration(layout.calibration_path) == cfg.camera
     gates = json.loads(layout.gates_path.read_text())
     assert tuple(GateConfig(**rec) for rec in gates) == cfg.gates
+
+
+def test_simulate_logs_one_placement_warning_per_frame(tmp_path, caplog):
+    # every object sits at x = 0 within half a meter of range: only one fits
+    cfg = load_run_config(write_config(tmp_path, {
+        "scene": {"min_objects": 3, "max_objects": 3, "z_range": [5, 5.5], "x_margin": 0,
+                  "max_retries": 2}}))
+    with caplog.at_level("WARNING", logger="gfk.io_cli"):
+        out = cmd_simulate(cfg)
+    assert out["placement_warnings"] == 7
+    warned = [r.getMessage() for r in caplog.records if "placement" in r.getMessage()]
+    assert sorted(warned) == [f"frame_{i:06d}: placement retries exhausted, dropped at least "
+                              f"one object" for i in range(7)]
 
 
 def test_simulate_writes_every_file_atomically(tmp_path, monkeypatch):

@@ -63,8 +63,9 @@ PROPERTY = settings(max_examples=200, deadline=None,
 
 def test_label_and_prediction_records_round_trip_byte_for_byte():
     # one box record pair writes both files; its key order is part of the bytes
-    assert labels_to_jsonl([parse_label(LABEL)]) == json.dumps(LABEL) + "\n"
-    assert predictions_to_jsonl([parse_prediction(PREDICTION)]) == json.dumps(PREDICTION) + "\n"
+    assert labels_to_jsonl([parse_label(LABEL, "label")]) == json.dumps(LABEL) + "\n"
+    assert (predictions_to_jsonl([parse_prediction(PREDICTION, "prediction")])
+            == json.dumps(PREDICTION) + "\n")
 
 
 def test_field_error_path_is_built_on_the_way_out():
@@ -144,7 +145,7 @@ def test_artifact_top_level_must_be_an_object(tmp_path, top):
     with pytest.raises(ParseError, match="expected an object"):
         load_manifest(DatasetLayout(tmp_path))
     with pytest.raises(ModelParseError, match="expected an object"):
-        parse_model(json.dumps(top))
+        parse_model(json.dumps(top), "model.json")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from gfk import (
     Box3D,
     CAR,
     DEFAULT_CAMERA,
+    PEDESTRIAN,
     EmptyDataset,
     ModelParseError,
     ShapeMismatch,
@@ -295,24 +296,34 @@ def test_predict_unknown_class_skipped():
 
 def test_model_json_roundtrip():
     params = init_params(sizes=(24, 12, 8), seed=8)
-    meta = {"k": 2.0, "feature_mask": None}
-    back, meta2 = parse_model(model_to_json(params, meta))
-    assert meta2["k"] == 2.0
-    assert [w.shape for w in back.weights] == [w.shape for w in params.weights]
-    np.testing.assert_array_equal(back.flat, params.flat)
+    classes = {"Car": CAR, "Pedestrian": PEDESTRIAN}
+    ablated = np.ones(FEATURE_SIZE)
+    ablated[INTENSITY_FEATURES] = 0.0
+    ablated[RATIO_FEATURES] = 0.0
+    for mask, stored in ((np.ones(FEATURE_SIZE), None), (ablated, ablated.tolist())):
+        text = model_to_json(params, 2.5, mask, classes)
+        assert json.loads(text)["meta"]["feature_mask"] == stored
+        back, k, mask_back, classes_back = parse_model(text, "model.json")
+        assert [w.shape for w in back.weights] == [w.shape for w in params.weights]
+        np.testing.assert_array_equal(back.flat, params.flat)
+        assert k == 2.5
+        np.testing.assert_array_equal(mask_back, mask)
+        assert classes_back == classes
 
 
 def test_model_parse_errors():
     with pytest.raises(ModelParseError):
-        parse_model("not json")
-    good = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0), {}))
+        parse_model("not json", "model.json")
+    text = model_to_json(init_params(sizes=(24, 4, 8), seed=0), 2.0, np.ones(FEATURE_SIZE),
+                         {"Car": CAR})
+    good = json.loads(text)
     good["weights"][0] = good["weights"][0][:-1]  # truncate the flat weight list
     with pytest.raises(ModelParseError):
-        parse_model(json.dumps(good))
-    bad_sizes = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0), {}))
+        parse_model(json.dumps(good), "model.json")
+    bad_sizes = json.loads(text)
     bad_sizes["sizes"] = [24]
     with pytest.raises(ModelParseError):
-        parse_model(json.dumps(bad_sizes))
+        parse_model(json.dumps(bad_sizes), "model.json")
 
 
 def test_metrics_csv_shape():
