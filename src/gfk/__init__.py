@@ -41,7 +41,8 @@ from .errors import (
     ShapeMismatch,
     TrainingDiverged,
 )
-from .eval import ApResult, EvalConfig, EvalReport, ap_40, evaluate, iou_2d, iou_3d, iou_bev
+from .eval import (ApResult, EvalConfig, EvalReport, ap_40, evaluate, iou_2d, iou_3d, iou_bev,
+                   read_boxes)
 from .loss import LossWeights, smooth_l1
 from .regressor import (
     MlpParams,

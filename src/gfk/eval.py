@@ -70,14 +70,22 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """IoU of the rotated footprints in the ground plane."""
-    inter = convex_intersection_area(a.bev_corners(), b.bev_corners())
-    union = a.w * a.l + b.w * b.l - inter
-    return inter / union if union > 0 else 0.0
+    return _bev_iou(convex_intersection_area(a.bev_corners(), b.bev_corners()), a, b)
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volumetric IoU: BEV intersection times vertical overlap of [y-h, y]."""
-    inter_area = convex_intersection_area(a.bev_corners(), b.bev_corners())
+    return _volume_iou(convex_intersection_area(a.bev_corners(), b.bev_corners()), a, b)
+
+
+def _bev_iou(inter: float, a: Box3D, b: Box3D) -> float:
+    """iou_bev from the footprint intersection area inter."""
+    union = a.w * a.l + b.w * b.l - inter
+    return inter / union if union > 0 else 0.0
+
+
+def _volume_iou(inter_area: float, a: Box3D, b: Box3D) -> float:
+    """iou_3d from the footprint intersection area inter_area."""
     if inter_area == 0.0:
         return 0.0
     v_overlap = min(a.y, b.y) - max(a.y - a.h, b.y - b.h)
@@ -105,24 +113,36 @@ def ap_40(dets: Sequence, gts: Sequence, iou_fn: Callable, threshold: float,
     """
     if len(det_frames) != len(dets) or len(gt_frames) != len(gts):
         raise ValueError("frame id lists must align with the box lists")
-    if not gts:
-        if not dets:
+    return _ap_40([d.score for d in dets], det_frames, gt_frames,
+                  lambda i, j: iou_fn(dets[i], gts[j]), threshold)
+
+
+def _ap_40(scores: Sequence[float], det_frames: Sequence, gt_frames: Sequence,
+           iou_of: Callable[[int, int], float], threshold: float) -> ApResult:
+    """ap_40 on detection scores and frames, iou_of(i, j) giving the IoU of
+    detection i and ground-truth box j."""
+    n_det, n_gt = len(scores), len(gt_frames)
+    if not n_gt:
+        if not n_det:
             return ApResult(ap=None, n_gt=0, n_det=0, n_matched=0)
-        return ApResult(ap=0.0, n_gt=0, n_det=len(dets), n_matched=0)
-    if not dets:
-        return ApResult(ap=0.0, n_gt=len(gts), n_det=0, n_matched=0)
+        return ApResult(ap=0.0, n_gt=0, n_det=n_det, n_matched=0)
+    if not n_det:
+        return ApResult(ap=0.0, n_gt=n_gt, n_det=0, n_matched=0)
 
     # Greedy matching: tp[rank] flags the rank-th detection by descending score.
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)  # stable on ties
-    taken = [False] * len(gts)
-    tp = [False] * len(dets)
+    order = sorted(range(n_det), key=lambda i: -scores[i])  # stable on ties
+    gts_in_frame: dict = {}
+    for j, frame in enumerate(gt_frames):
+        gts_in_frame.setdefault(frame, []).append(j)  # ascending gt index
+    taken = [False] * n_gt
+    tp = [False] * n_det
     for rank, di in enumerate(order):
         best_iou = 0.0
         best_j = -1
-        for j in range(len(gts)):
-            if taken[j] or det_frames[di] != gt_frames[j]:
+        for j in gts_in_frame.get(det_frames[di], ()):
+            if taken[j]:
                 continue
-            iou = iou_fn(dets[di], gts[j])
+            iou = iou_of(di, j)
             if iou >= threshold and iou > best_iou:  # strict > keeps the lowest gt index on ties
                 best_iou = iou
                 best_j = j
@@ -131,8 +151,8 @@ def ap_40(dets: Sequence, gts: Sequence, iou_fn: Callable, threshold: float,
             tp[rank] = True
 
     cum_tp = np.cumsum(tp)
-    ranks = np.arange(1, len(dets) + 1)
-    recalls = cum_tp / len(gts)
+    ranks = np.arange(1, n_det + 1)
+    recalls = cum_tp / n_gt
     precisions = cum_tp / ranks
     ap = 0.0
     for i in range(1, N_RECALL + 1):
@@ -140,12 +160,7 @@ def ap_40(dets: Sequence, gts: Sequence, iou_fn: Callable, threshold: float,
         mask = recalls >= r - 1e-12
         ap += float(precisions[mask].max()) if np.any(mask) else 0.0
     ap /= N_RECALL
-    return ApResult(
-        ap=ap,
-        n_gt=len(gts),
-        n_det=len(dets),
-        n_matched=int(cum_tp[-1]),
-    )
+    return ApResult(ap=ap, n_gt=n_gt, n_det=n_det, n_matched=int(cum_tp[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,46 +207,63 @@ class EvalReport:
         return buf.getvalue()
 
 
-def evaluate(predictions_path, labels_by_frame: Mapping[str, Path | str],
-             cfg: EvalConfig) -> EvalReport:
-    """Score a prediction file against per-frame label files."""
-    preds = read_predictions(predictions_path)
-    classes = tuple(sorted(cfg.iou_thresholds))
-    unknown: set[str] = set()
+Row = tuple[str, Box3D, Box2D]  # (frame id, 3D box, 2D box)
 
-    det_rows = []  # (frame, cls, box3d, box2d)
-    for frame_id, box, box2d, _code in preds:
-        if box.cls not in cfg.iou_thresholds:
-            unknown.add(box.cls)
-            continue
-        det_rows.append((frame_id, box.cls, box, box2d))
-    gt_rows = []
-    for frame_id, path in sorted(labels_by_frame.items()):
-        for obj in read_labels(path):
-            if obj.box.cls not in cfg.iou_thresholds:
-                unknown.add(obj.box.cls)
-                continue
-            gt_rows.append((frame_id, obj.box.cls, obj.box, obj.box2d))
+
+def read_boxes(predictions_path, labels_by_frame: Mapping[str, Path | str]
+               ) -> tuple[list[Row], list[Row]]:
+    """The detections of a prediction file, in file order, and the ground
+    truth of per-frame label files, frame by frame in sorted frame order."""
+    dets = [(frame_id, box, box2d)
+            for frame_id, box, box2d, _code in read_predictions(predictions_path)]
+    gts = [(frame_id, obj.box, obj.box2d)
+           for frame_id, path in sorted(labels_by_frame.items())
+           for obj in read_labels(path)]
+    return dets, gts
+
+
+def evaluate(dets: Sequence[Row], gts: Sequence[Row], cfg: EvalConfig) -> EvalReport:
+    """Score detections against ground truth, both as read_boxes returns them.
+
+    Each box's footprint corners are built once per class, and each (det, gt)
+    footprint intersection is clipped at most once, shared by the bev and 3d
+    kinds.
+    """
+    classes = tuple(sorted(cfg.iou_thresholds))
+    unknown = {box.cls for _frame, box, _box2d in (*dets, *gts)} - set(classes)
     for name in sorted(unknown):
         logger.warning("class %r has no IoU threshold, ignoring its boxes", name)
 
-    iou_fns = {"2d": iou_2d, "bev": iou_bev, "3d": iou_3d}
     cells: dict[tuple[str, str, str], ApResult] = {}
     labels = tuple(bin_label(lo, hi) for lo, hi in cfg.bins)
     for cls in classes:
         threshold = cfg.iou_thresholds[cls]
-        cls_dets = [r for r in det_rows if r[1] == cls]
-        cls_gts = [r for r in gt_rows if r[1] == cls]
-        for kind in KINDS:
-            use_2d = kind == "2d"
-            for (lo, hi), lbl in zip(cfg.bins, labels):
-                dets = [r for r in cls_dets if lo <= r[2].z < hi]
-                gts = [r for r in cls_gts if lo <= r[2].z < hi]
-                boxes_d = [r[3] if use_2d else r[2] for r in dets]
-                boxes_g = [r[3] if use_2d else r[2] for r in gts]
-                cells[(cls, kind, lbl)] = ap_40(
-                    boxes_d, boxes_g, iou_fns[kind], threshold,
-                    det_frames=[r[0] for r in dets], gt_frames=[r[0] for r in gts],
+        cls_dets = [r for r in dets if r[1].cls == cls]
+        cls_gts = [r for r in gts if r[1].cls == cls]
+        det_corners = [r[1].bev_corners() for r in cls_dets]
+        gt_corners = [r[1].bev_corners() for r in cls_gts]
+        areas: dict[tuple[int, int], float] = {}
+
+        def bev_area(i: int, j: int) -> float:
+            area = areas.get((i, j))
+            if area is None:
+                area = areas[(i, j)] = convex_intersection_area(det_corners[i], gt_corners[j])
+            return area
+
+        iou_of = {
+            "2d": lambda i, j: iou_2d(cls_dets[i][2], cls_gts[j][2]),
+            "bev": lambda i, j: _bev_iou(bev_area(i, j), cls_dets[i][1], cls_gts[j][1]),
+            "3d": lambda i, j: _volume_iou(bev_area(i, j), cls_dets[i][1], cls_gts[j][1]),
+        }
+        for (lo, hi), lbl in zip(cfg.bins, labels):
+            d_idx = [i for i, r in enumerate(cls_dets) if lo <= r[1].z < hi]
+            g_idx = [j for j, r in enumerate(cls_gts) if lo <= r[1].z < hi]
+            for kind in KINDS:
+                box, iou = (2 if kind == "2d" else 1), iou_of[kind]
+                cells[(cls, kind, lbl)] = _ap_40(
+                    [cls_dets[i][box].score for i in d_idx],
+                    [cls_dets[i][0] for i in d_idx], [cls_gts[j][0] for j in g_idx],
+                    lambda a, b: iou(d_idx[a], g_idx[b]), threshold,
                 )
     return EvalReport(cells=cells, classes=classes, bin_labels=labels)
 

@@ -3,9 +3,17 @@
 The BEV plane is camera x (right) against camera z (forward). Rectangles are
 handed around as (4, 2) corner arrays in counterclockwise order; intersection
 uses Sutherland-Hodgman clipping, area the shoelace formula.
+
+The clip runs on Python floats taken with tolist(): each operation is the
+same IEEE double operation a numpy float64 scalar would do, at a fraction of
+the cost, so the clipped vertices are bit-identical. The area stays on
+np.dot, whose pairwise summation a sequential Python sum does not match in
+the last bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,39 +46,30 @@ def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
 
     Returns the intersection polygon as an (m, 2) array; m may be 0.
     """
-    output = [tuple(p) for p in subject]
-    n = len(clip)
-    for i in range(n):
+    output = subject.tolist()
+    clip_pts = clip.tolist()
+    for (x1, z1), (x2, z2) in zip(clip_pts, clip_pts[1:] + clip_pts[:1]):
         if not output:
             break
-        cp1 = clip[i]
-        cp2 = clip[(i + 1) % n]
-        edge = (cp2[0] - cp1[0], cp2[1] - cp1[1])
-
-        def inside(p):
-            return edge[0] * (p[1] - cp1[1]) - edge[1] * (p[0] - cp1[0]) >= 0.0
-
-        input_list = output
-        output = []
-        s = input_list[-1]
-        for e in input_list:
-            if inside(e):
-                if not inside(s):
-                    output.append(_intersect(s, e, cp1, cp2))
-                output.append(e)
-            elif inside(s):
-                output.append(_intersect(s, e, cp1, cp2))
-            s = e
+        ex, ez = x2 - x1, z2 - z1
+        dcx, dcz = x1 - x2, z1 - z2
+        n1 = x1 * z2 - z1 * x2
+        inside = [ex * (pz - z1) - ez * (px - x1) >= 0.0 for px, pz in output]
+        input_list, output = output, []
+        (sx, sz), s_in = input_list[-1], inside[-1]
+        for (px, pz), p_in in zip(input_list, inside):
+            if p_in != s_in:
+                # the edge s -> p crosses the clip line
+                dpx, dpz = sx - px, sz - pz
+                n2 = sx * pz - sz * px
+                den = dcx * dpz - dcz * dpx
+                # as numpy's 1 / 0: an edge that rounds to parallel gives inf
+                n3 = 1.0 / den if den else math.copysign(math.inf, den)
+                output.append([(n1 * dpx - n2 * dcx) * n3, (n1 * dpz - n2 * dcz) * n3])
+            if p_in:
+                output.append([px, pz])
+            sx, sz, s_in = px, pz, p_in
     return np.array(output, dtype=float).reshape(-1, 2)
-
-
-def _intersect(s, e, cp1, cp2):
-    dc = (cp1[0] - cp2[0], cp1[1] - cp2[1])
-    dp = (s[0] - e[0], s[1] - e[1])
-    n1 = cp1[0] * cp2[1] - cp1[1] * cp2[0]
-    n2 = s[0] * e[1] - s[1] * e[0]
-    n3 = 1.0 / (dc[0] * dp[1] - dc[1] * dp[0])
-    return ((n1 * dp[0] - n2 * dc[0]) * n3, (n1 * dp[1] - n2 * dc[1]) * n3)
 
 
 def convex_intersection_area(a: np.ndarray, b: np.ndarray) -> float:

@@ -43,9 +43,10 @@ from .camera import (
     load_calibration,
     wrap_to_pi,
 )
+# read_predictions is not called here, but perfbench's tracer wraps io_cli.read_predictions.
 from .codec import K_DEFAULT, encode, decode, predictions_to_jsonl, read_predictions
 from .errors import ConfigError, EmptyDataset, FullyOutOfImage, GfkError, ParseError
-from .eval import EvalConfig, EvalReport, bev_svg, evaluate
+from .eval import EvalConfig, EvalReport, bev_svg, evaluate, read_boxes
 from .loss import LossWeights, target_row
 from .records import FieldError, build, convert, get, parse_json, read_jsonl
 from .regressor import (
@@ -519,19 +520,22 @@ def cmd_eval(cfg: RunConfig, render_bev: bool = False) -> EvalReport:
     if not frame_ids:
         raise EmptyDataset(f"{layout.root}: split {cfg.predict_split!r} is empty")
     labels_by_frame = {fid: layout.labels_path(fid) for fid in frame_ids}
-    report = evaluate(cfg.predictions_path, labels_by_frame, cfg.eval_cfg)
+    dets, gts = read_boxes(cfg.predictions_path, labels_by_frame)
+    report = evaluate(dets, gts, cfg.eval_cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.report_json_path,
                       json.dumps(report.to_json_dict(), indent=2) + "\n")
     atomic_write_text(cfg.report_csv_path, report.to_csv())
     if render_bev:
         cfg.bev_dir.mkdir(parents=True, exist_ok=True)
-        by_frame: dict[str, list] = {fid: [] for fid in frame_ids}
-        for frame_id, box, _box2d, _code in read_predictions(cfg.predictions_path):
-            by_frame.setdefault(frame_id, []).append(box)
+        # (ground truth, detections) of each frame
+        by_frame: dict[str, tuple[list, list]] = {fid: ([], []) for fid in frame_ids}
+        for side, rows in enumerate((gts, dets)):
+            for fid, box, _box2d in rows:
+                if fid in by_frame:
+                    by_frame[fid][side].append(box)
         for fid in frame_ids:
-            gts = [o.box for o in read_labels(labels_by_frame[fid])]
-            atomic_write_text(cfg.bev_dir / f"{fid}.svg", bev_svg(gts, by_frame[fid]))
+            atomic_write_text(cfg.bev_dir / f"{fid}.svg", bev_svg(*by_frame[fid]))
     return report
 
 

@@ -52,7 +52,12 @@ def extract_features(slices: np.ndarray, p: Box2D) -> np.ndarray:
     """Feature vector for one 2D box over the (3, H, W) slices of a frame.
 
     Only the crop is cast to float64. A box that misses the image entirely
-    yields zero crop statistics and a zero ratio triple.
+    yields zero crop statistics and a zero ratio triple. The crop mean and
+    the three band means come from the crop's row sums, split at
+    np.array_split's edges. On integer pixels, which is what simulate
+    writes, every such sum is exact in float64, so the features are bit for
+    bit those of tests/oracles.whole_frame_features; the std is not exact and
+    stays crop.std.
     """
     if slices.ndim != 3 or slices.shape[0] != 3:
         raise ShapeMismatch(f"expected (3, H, W) slices, got {slices.shape}")
@@ -72,13 +77,16 @@ def extract_features(slices: np.ndarray, p: Box2D) -> np.ndarray:
     if c0 >= c1 or r0 >= r1:
         return x
     crop = np.asarray(slices[:, r0:r1, c0:c1], dtype=np.float64)
-    means = crop.mean(axis=(1, 2))
-    stds = crop.std(axis=(1, 2))
-    for s in range(3):
-        x[5 * s] = means[s] / FULL_SCALE
-        x[5 * s + 1] = stds[s] / FULL_SCALE
-        for bi, band in enumerate(np.array_split(crop[s], 3, axis=0)):
-            x[5 * s + 2 + bi] = (band.mean() if band.size else means[s]) / FULL_SCALE
+    h, w = crop.shape[1:]
+    rows = crop.sum(axis=2)
+    means = rows.sum(axis=1) / (h * w)
+    x[0:15:5] = means / FULL_SCALE
+    x[1:15:5] = crop.std(axis=(1, 2)) / FULL_SCALE
+    q, r = divmod(h, 3)  # np.array_split(crop, 3, axis=1): the first r bands get q + 1 rows
+    edges = (0, q + min(r, 1), 2 * q + min(r, 2), h)
+    for band, (a, b) in enumerate(zip(edges, edges[1:])):
+        band_means = rows[:, a:b].sum(axis=1) / ((b - a) * w) if b > a else means
+        x[2 + band:15:5] = band_means / FULL_SCALE
     total = float(means.sum())
     if total > RATIO_SUM_THRESHOLD:
         x[RATIO_FEATURES] = means / total

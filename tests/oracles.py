@@ -4,10 +4,12 @@ Each oracle recomputes a quantity the library produces in closed form, using
 a method that shares no code with the implementation: adaptive quadrature for
 the range-intensity profile, stratified Monte Carlo for rotated-rectangle
 IoU, threshold enumeration for average precision, and central differences
-for gradients. whole_frame_features and full_frame_render are the
-exceptions: they are the box feature extractor and the frame renderer as
-first written, kept to pin that cropping first and rendering from an
-object-index map change no bit. Keep these dumb and obviously correct.
+for gradients. numpy_scalar_clip_convex, whole_frame_features,
+full_frame_render and per_kind_evaluate are the exceptions: they are the
+polygon clipper, the box feature extractor, the frame renderer and the
+report scorer as first written, kept to pin that clipping on Python floats,
+cropping first, rendering from an object-index map and scoring from shared
+BEV intersections change no bit. Keep these dumb and obviously correct.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from scipy.integrate import quad
 
 from gfk import SPEED_OF_LIGHT, rip_value
 from gfk.camera import CamPoint, project
+from gfk.eval import KINDS, ApResult, EvalReport, N_RECALL, bin_label, iou_2d, iou_3d, iou_bev
 
 
 def quad_rip(gate, r: float) -> float:
@@ -200,3 +203,102 @@ def full_frame_render(scene, gates, cam, noise, seed: int) -> np.ndarray:
             x = np.rint(np.clip(x, 0, noise.full_scale))
         slices.append(x)
     return np.stack(slices).astype(np.uint16 if noise.enable_clipping else np.float64)
+
+
+def numpy_scalar_clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clip of subject by the convex CCW clip polygon,
+    indexing the numpy arrays vertex by vertex, so every coordinate is a
+    numpy float64 scalar and inside() is re-evaluated at each use."""
+    output = [tuple(p) for p in subject]
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            break
+        cp1 = clip[i]
+        cp2 = clip[(i + 1) % n]
+        edge = (cp2[0] - cp1[0], cp2[1] - cp1[1])
+
+        def inside(p):
+            return edge[0] * (p[1] - cp1[1]) - edge[1] * (p[0] - cp1[0]) >= 0.0
+
+        def intersect(s, e):
+            dc = (cp1[0] - cp2[0], cp1[1] - cp2[1])
+            dp = (s[0] - e[0], s[1] - e[1])
+            n1 = cp1[0] * cp2[1] - cp1[1] * cp2[0]
+            n2 = s[0] * e[1] - s[1] * e[0]
+            n3 = 1.0 / (dc[0] * dp[1] - dc[1] * dp[0])
+            return ((n1 * dp[0] - n2 * dc[0]) * n3, (n1 * dp[1] - n2 * dc[1]) * n3)
+
+        input_list = output
+        output = []
+        s = input_list[-1]
+        for e in input_list:
+            if inside(e):
+                if not inside(s):
+                    output.append(intersect(s, e))
+                output.append(e)
+            elif inside(s):
+                output.append(intersect(s, e))
+            s = e
+    return np.array(output, dtype=float).reshape(-1, 2)
+
+
+def all_pairs_ap_40(dets, gts, iou_fn, threshold: float, det_frames, gt_frames) -> ApResult:
+    """AP-40 with greedy matching that scans every gt box for each
+    detection, skipping taken boxes and other frames inside the scan."""
+    if not gts:
+        if not dets:
+            return ApResult(ap=None, n_gt=0, n_det=0, n_matched=0)
+        return ApResult(ap=0.0, n_gt=0, n_det=len(dets), n_matched=0)
+    if not dets:
+        return ApResult(ap=0.0, n_gt=len(gts), n_det=0, n_matched=0)
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    taken = [False] * len(gts)
+    tp = [False] * len(dets)
+    for rank, di in enumerate(order):
+        best_iou = 0.0
+        best_j = -1
+        for j in range(len(gts)):
+            if taken[j] or det_frames[di] != gt_frames[j]:
+                continue
+            iou = iou_fn(dets[di], gts[j])
+            if iou >= threshold and iou > best_iou:
+                best_iou = iou
+                best_j = j
+        if best_j >= 0:
+            taken[best_j] = True
+            tp[rank] = True
+    cum_tp = np.cumsum(tp)
+    recalls = cum_tp / len(gts)
+    precisions = cum_tp / np.arange(1, len(dets) + 1)
+    ap = 0.0
+    for i in range(1, N_RECALL + 1):
+        mask = recalls >= i / N_RECALL - 1e-12
+        ap += float(precisions[mask].max()) if np.any(mask) else 0.0
+    ap /= N_RECALL
+    return ApResult(ap=ap, n_gt=len(gts), n_det=len(dets), n_matched=int(cum_tp[-1]))
+
+
+def per_kind_evaluate(dets, gts, cfg) -> EvalReport:
+    """The report of evaluate() with every (class, kind, bin) cell scored on
+    its own: all_pairs_ap_40 over iou_2d, iou_bev or iou_3d, each IoU call
+    rebuilding both boxes' corners and clipping them. dets and gts are
+    (frame_id, Box3D, Box2D) rows; boxes of a class without a threshold are
+    ignored."""
+    classes = tuple(sorted(cfg.iou_thresholds))
+    iou_fns = {"2d": iou_2d, "bev": iou_bev, "3d": iou_3d}
+    labels = tuple(bin_label(lo, hi) for lo, hi in cfg.bins)
+    cells = {}
+    for cls in classes:
+        threshold = cfg.iou_thresholds[cls]
+        cls_dets = [r for r in dets if r[1].cls == cls]
+        cls_gts = [r for r in gts if r[1].cls == cls]
+        for kind in KINDS:
+            pick = 2 if kind == "2d" else 1
+            for (lo, hi), lbl in zip(cfg.bins, labels):
+                d = [r for r in cls_dets if lo <= r[1].z < hi]
+                g = [r for r in cls_gts if lo <= r[1].z < hi]
+                cells[(cls, kind, lbl)] = all_pairs_ap_40(
+                    [r[pick] for r in d], [r[pick] for r in g], iou_fns[kind], threshold,
+                    [r[0] for r in d], [r[0] for r in g])
+    return EvalReport(cells=cells, classes=classes, bin_labels=labels)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfk import (
     Box2D,
@@ -14,12 +15,13 @@ from gfk import (
     iou_2d,
     iou_3d,
     iou_bev,
+    read_boxes,
 )
 from gfk.codec import encode, predictions_to_jsonl
 from gfk.eval import bev_svg, bin_label
 from gfk.scene import LabeledObject, labels_to_jsonl, oracle_box2d
 
-from oracles import brute_force_ap40, mc_iou_bev
+from oracles import brute_force_ap40, mc_iou_bev, per_kind_evaluate
 
 
 def bev_box(x=0.0, z=20.0, w=2.0, l=4.0, yaw=0.0, score=1.0, y=1.65, h=1.5, cls="Car"):
@@ -260,7 +262,7 @@ def test_evaluate_perfect_predictions(tmp_path):
     pred_path, frames = _write_eval_fixture(tmp_path)
     cfg = EvalConfig(iou_thresholds={"Car": 0.5},
                      bins=((0.0, 30.0), (30.0, 50.0), (50.0, 80.0)))
-    report = evaluate(pred_path, frames, cfg)
+    report = evaluate(*read_boxes(pred_path, frames), cfg)
     for kind in ("2d", "bev", "3d"):
         for lbl in ("0-30m", "30-50m", "50-80m"):
             assert report.ap("Car", kind, lbl) == pytest.approx(1.0), (kind, lbl)
@@ -279,7 +281,7 @@ def test_evaluate_bins_dets_by_predicted_depth(tmp_path):
     pred_path.write_text(predictions_to_jsonl([("f0", det, p2d, encode(det, p2d, CAR, 2.0, cam))]))
     cfg = EvalConfig(iou_thresholds={"Car": 0.5},
                      bins=((0.0, 30.0), (30.0, 50.0), (50.0, 80.0)))
-    report = evaluate(pred_path, {"f0": labels}, cfg)
+    report = evaluate(*read_boxes(pred_path, {"f0": labels}), cfg)
     d = report.to_json_dict()["classes"]["Car"]["2d"]
     assert d["0-30m"] == {"ap": 0.0, "n_gt": 1, "n_det": 0, "n_matched": 0}
     assert d["30-50m"] == {"ap": 0.0, "n_gt": 0, "n_det": 1, "n_matched": 0}
@@ -298,7 +300,7 @@ def test_evaluate_kinds_decouple(tmp_path):
     pred_path = tmp_path / "predictions.jsonl"
     pred_path.write_text(predictions_to_jsonl([("f0", det, p2d, encode(det, p2d, CAR, 2.0, cam))]))
     cfg = EvalConfig(iou_thresholds={"Car": 0.5}, bins=((0.0, 30.0),))
-    report = evaluate(pred_path, {"f0": labels}, cfg)
+    report = evaluate(*read_boxes(pred_path, {"f0": labels}), cfg)
     assert report.ap("Car", "2d", "0-30m") == pytest.approx(1.0)
     assert report.ap("Car", "bev", "0-30m") == pytest.approx(0.0)
     assert report.ap("Car", "3d", "0-30m") == pytest.approx(0.0)
@@ -306,13 +308,82 @@ def test_evaluate_kinds_decouple(tmp_path):
 
 def test_report_serialization(tmp_path):
     pred_path, frames = _write_eval_fixture(tmp_path)
-    report = evaluate(pred_path, frames, EvalConfig(iou_thresholds={"Car": 0.5}))
+    report = evaluate(*read_boxes(pred_path, frames), EvalConfig(iou_thresholds={"Car": 0.5}))
     d = report.to_json_dict()
     assert d["classes"]["Car"]["bev"]["0-30m"]["ap"] == pytest.approx(1.0)
     csv_text = report.to_csv()
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("class,kind,bin,ap")
     assert len(lines) == 1 + 1 * 3 * 3  # one class, three kinds, three bins
+
+
+def random_rows(seed: int):
+    """Detections and ground truth over four frames, frame f3 holding
+    detections only: both classes plus one without a threshold, depths on
+    the bin edges, duplicated ground truth, tied scores and IoUs, and
+    detections that copy, nudge or miss a ground-truth box (a nudged box's
+    2D score differs from its 3D score)."""
+    rng = np.random.default_rng(seed)
+    edges = (0.0, 30.0, 50.0, 80.0)
+
+    def depth():
+        return float(edges[rng.integers(0, 4)]) if rng.random() < 0.3 else float(rng.uniform(2, 85))
+
+    def box2d(cls, score):
+        return Box2D(cls=cls, u=float(rng.uniform(0, 160)), v=float(rng.uniform(0, 90)),
+                     w_u=float(rng.uniform(2, 40)), h_v=float(rng.uniform(2, 40)), score=score)
+
+    gts = []
+    for fid in ("f0", "f1", "f2"):
+        for _ in range(int(rng.integers(0, 7))):
+            cls = str(rng.choice(["Car", "Car", "Pedestrian", "Tree"]))
+            b = bev_box(x=float(rng.uniform(-6, 6)), z=depth(), yaw=float(rng.uniform(-3, 3)),
+                        w=float(rng.uniform(0.5, 2.5)), l=float(rng.uniform(0.5, 5)),
+                        y=float(rng.uniform(1.0, 2.0)), h=float(rng.uniform(1.0, 2.0)), cls=cls)
+            gts.append((fid, b, box2d(cls, 1.0)))
+            if rng.random() < 0.15:
+                gts.append(gts[-1])
+    dets = []
+    for fid, g, g2 in gts:
+        if rng.random() < 0.2:
+            continue
+        score = float(rng.choice([0.5, 0.9])) if rng.random() < 0.4 else float(rng.uniform(0, 1))
+        if rng.random() < 0.2:
+            b, b2 = Box3D(**{**vars(g), "score": score}), Box2D(**{**vars(g2), "score": score})
+        else:
+            b = Box3D(**{**vars(g), "score": score, "x": g.x + float(rng.normal(0, 0.8)),
+                         "z": g.z + float(rng.normal(0, 0.8)), "y": g.y + float(rng.normal(0, 0.5)),
+                         "yaw": g.yaw + float(rng.normal(0, 0.3))})
+            b2 = Box2D(**{**vars(g2), "score": float(rng.uniform(0, 1)),
+                          "u": g2.u + float(rng.normal(0, 4))})
+        dets.append((fid, b, b2))
+    for _ in range(int(rng.integers(1, 5))):
+        fid = str(rng.choice(["f0", "f1", "f2", "f3"]))
+        cls = str(rng.choice(["Car", "Pedestrian"]))
+        score = float(rng.choice([0.5, 0.9]))
+        dets.append((fid, bev_box(x=float(rng.uniform(-6, 6)), z=depth(), score=score, cls=cls),
+                     box2d(cls, score)))
+    if rng.random() < 0.5:
+        # a detection with the same IoU to two ground-truth boxes, the first of
+        # which it must take, and a weaker one that can only match the second
+        fid, z = str(rng.choice(["f0", "f1"])), depth()
+        for x in (-1.0, 1.0):
+            gts.append((fid, bev_box(x=x, z=z), Box2D(cls="Car", u=50 + x, v=40, w_u=4, h_v=4)))
+        for x, score in ((0.0, 0.95), (3.0, 0.05)):
+            dets.append((fid, bev_box(x=x, z=z, score=score),
+                         Box2D(cls="Car", u=50 + x, v=40, w_u=4, h_v=4, score=score)))
+    order = rng.permutation(len(dets))
+    return [dets[i] for i in order], gts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_evaluate_matches_per_kind_oracle_exactly(seed):
+    dets, gts = random_rows(seed)
+    cfg = EvalConfig(iou_thresholds={"Car": 0.2, "Pedestrian": 0.1})
+    got, want = evaluate(dets, gts, cfg), per_kind_evaluate(dets, gts, cfg)
+    assert got.to_csv() == want.to_csv()
+    assert got.to_json_dict() == want.to_json_dict()
 
 
 def test_bev_svg_contains_boxes():
