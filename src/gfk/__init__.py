@@ -35,6 +35,7 @@ from .errors import (
     InvalidStats,
     ModelParseError,
     NegativeRange,
+    NonFiniteBox,
     NonPositiveDepth,
     NonPositiveDimension,
     ParseError,

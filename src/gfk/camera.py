@@ -119,6 +119,6 @@ def calibration_to_json(cam: CameraModel) -> str:
 def load_calibration(path: str | Path) -> CameraModel:
     path = Path(path)
     try:
-        return build(CameraModel, parse_json(path.read_text()))
+        return build(CameraModel, parse_json(path.read_bytes()))
     except FieldError as e:
         raise ParseError(f"{path}: {e}") from None

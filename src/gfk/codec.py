@@ -31,7 +31,8 @@ from .camera import (
     project,
     yaw_to_observation_angle,
 )
-from .errors import DegenerateBox, InvalidStats, NonPositiveDepth, NonPositiveDimension, ParseError
+from .errors import (DegenerateBox, InvalidStats, NonFiniteBox, NonPositiveDepth,
+                     NonPositiveDimension, ParseError)
 from .records import FieldError, get, read_jsonl
 from .scene import Box2D, Box3D, ObjectClass, box_record, parse_box
 
@@ -133,6 +134,8 @@ def encode(b: Box3D, p: Box2D, stats: ObjectClass, k: float, cam: CameraModel) -
 
 def decode(q: FrustumCode, p: Box2D, stats: ObjectClass, k: float, cam: CameraModel) -> Box3D:
     """Rebuild a 3D box from predicted coefficients and the 2D box they refer to."""
+    if not all(map(math.isfinite, vars(q).values())):  # predict writes the code too
+        raise NonFiniteBox(f"code is not finite: {q}")
     mu_h, mu_w, mu_l = stats.dim_mean
     for name, d_rel in (("h", q.dh), ("w", q.dw), ("l", q.dl)):
         if 1.0 + d_rel <= 0:
@@ -148,6 +151,9 @@ def decode(q: FrustumCode, p: Box2D, stats: ObjectClass, k: float, cam: CameraMo
     pt = backproject(center_px, z, cam)
     theta = math.atan2(q.sin_t, q.cos_t)  # scale-invariant, so no explicit normalization
     yaw = observation_angle_to_yaw(theta, pt)
+    if not all(map(math.isfinite, (pt.x, pt.y, pt.z, h, w, length))):  # overflow
+        raise NonFiniteBox(f"decoded box is not finite: x={pt.x}, y={pt.y}, z={pt.z}, "
+                           f"h={h}, w={w}, l={length}")
     return Box3D(cls=p.cls, x=pt.x, y=pt.y, z=pt.z, h=h, w=w, l=length, yaw=yaw, score=p.score)
 
 

@@ -49,6 +49,10 @@ class NonPositiveDimension(GfkError):
     """Decoded box dimension would be zero or negative."""
 
 
+class NonFiniteBox(GfkError):
+    """Decoded box or its code holds a NaN or an infinity."""
+
+
 class ShapeMismatch(GfkError):
     """Array shape does not match the network layer sizes."""
 

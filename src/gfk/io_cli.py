@@ -175,7 +175,7 @@ def write_manifest(layout: DatasetLayout, seed: int, splits: dict[str, list[str]
 def load_manifest(layout: DatasetLayout) -> Manifest:
     path = layout.manifest_path
     try:
-        payload = parse_json(path.read_text())
+        payload = parse_json(path.read_bytes())
         splits = get(payload, "splits", Mapping[str, tuple[str, ...]])
         return Manifest(seed=get(payload, "seed", int),
                         splits={s: list(splits.get(s, ())) for s in SPLITS},
@@ -287,7 +287,7 @@ def load_run_config(path: str | Path, seed_override: int | None = None,
     """
     path = Path(path)
     try:
-        payload = parse_json(path.read_text())
+        payload = parse_json(path.read_bytes())
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file") from None
     except FieldError as e:
@@ -491,7 +491,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
     manifest = load_manifest(layout)
     cam = load_calibration(layout.calibration_path)
     # the codec k, feature mask and class stats the model was trained with
-    params, k, mask, classes = parse_model(cfg.model_path.read_text(), str(cfg.model_path))
+    params, k, mask, classes = parse_model(cfg.model_path.read_bytes(), str(cfg.model_path))
 
     frame_ids = manifest.splits[cfg.predict_split]
     rows = []

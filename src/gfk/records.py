@@ -128,9 +128,12 @@ def build(cls, record, /, where: str | tuple = "", **given):
         raise FieldError(str(e), where) from None
 
 
-def parse_json(text: str):
+def parse_json(data: bytes):
+    """The JSON value in data, read as UTF-8 as gfk writes it."""
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise FieldError(f"not UTF-8: {e.reason} at byte {e.start}") from None
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise FieldError(f"invalid JSON: {e}") from None
 
@@ -140,18 +143,19 @@ def read_jsonl(path: str | Path, parse: Callable,
     """parse(record, where) over the non-blank lines of a JSON-lines file.
 
     where is "<path>:<line>"; parse raises a GfkError naming it for a record
-    it rejects, and a line that is not JSON raises ParseError. With on_error,
-    on_error(line, error) receives each such error and reading goes on.
+    it rejects, and a line that is not UTF-8 JSON raises ParseError. With
+    on_error, on_error(line, error) receives each such error and reading goes
+    on.
     """
     path = Path(path)
     out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(path.read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
         try:
             out.append(parse(parse_json(line), where))
-        except FieldError as e:  # the line is not JSON
+        except FieldError as e:  # the line is not UTF-8 JSON
             error = ParseError(f"{where}: {e}")
         except GfkError as e:
             error = e

@@ -317,12 +317,12 @@ def model_to_json(params: MlpParams, k: float, feature_mask: np.ndarray,
     return json.dumps(payload) + "\n"
 
 
-def parse_model(text: str, where: str) -> tuple[MlpParams, float, np.ndarray,
-                                                dict[str, ObjectClass]]:
-    """Inverse of model_to_json: (params, k, feature_mask, classes); a null or
-    absent feature mask reads as all ones."""
+def parse_model(data: bytes, where: str) -> tuple[MlpParams, float, np.ndarray,
+                                                 dict[str, ObjectClass]]:
+    """Inverse of model_to_json, from the file's bytes: (params, k,
+    feature_mask, classes); a null or absent feature mask reads as all ones."""
     try:
-        payload = parse_json(text)
+        payload = parse_json(data)
         sizes = get(payload, "sizes", tuple[int, ...])
         raw_w = get(payload, "weights", list)
         raw_b = get(payload, "biases", list)

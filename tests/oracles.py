@@ -4,10 +4,9 @@ Each oracle recomputes a quantity the library produces in closed form, using
 a method that shares no code with the implementation: adaptive quadrature for
 the range-intensity profile, stratified Monte Carlo for rotated-rectangle
 IoU, threshold enumeration for average precision, and central differences
-for gradients. numpy_scalar_clip_convex, whole_frame_features,
-full_frame_render and per_kind_evaluate are the exceptions: they are the
-polygon clipper, the box feature extractor, the frame renderer and the
-report scorer as first written, kept to pin that clipping on Python floats,
+for gradients. whole_frame_features, full_frame_render and
+per_kind_evaluate are the exceptions: they are the box feature extractor,
+the frame renderer and the report scorer as first written, kept to pin that
 cropping first, rendering from an object-index map and scoring from shared
 BEV intersections change no bit. Keep these dumb and obviously correct.
 """
@@ -203,44 +202,6 @@ def full_frame_render(scene, gates, cam, noise, seed: int) -> np.ndarray:
             x = np.rint(np.clip(x, 0, noise.full_scale))
         slices.append(x)
     return np.stack(slices).astype(np.uint16 if noise.enable_clipping else np.float64)
-
-
-def numpy_scalar_clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of subject by the convex CCW clip polygon,
-    indexing the numpy arrays vertex by vertex, so every coordinate is a
-    numpy float64 scalar and inside() is re-evaluated at each use."""
-    output = [tuple(p) for p in subject]
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            break
-        cp1 = clip[i]
-        cp2 = clip[(i + 1) % n]
-        edge = (cp2[0] - cp1[0], cp2[1] - cp1[1])
-
-        def inside(p):
-            return edge[0] * (p[1] - cp1[1]) - edge[1] * (p[0] - cp1[0]) >= 0.0
-
-        def intersect(s, e):
-            dc = (cp1[0] - cp2[0], cp1[1] - cp2[1])
-            dp = (s[0] - e[0], s[1] - e[1])
-            n1 = cp1[0] * cp2[1] - cp1[1] * cp2[0]
-            n2 = s[0] * e[1] - s[1] * e[0]
-            n3 = 1.0 / (dc[0] * dp[1] - dc[1] * dp[0])
-            return ((n1 * dp[0] - n2 * dc[0]) * n3, (n1 * dp[1] - n2 * dc[1]) * n3)
-
-        input_list = output
-        output = []
-        s = input_list[-1]
-        for e in input_list:
-            if inside(e):
-                if not inside(s):
-                    output.append(intersect(s, e))
-                output.append(e)
-            elif inside(s):
-                output.append(intersect(s, e))
-            s = e
-    return np.array(output, dtype=float).reshape(-1, 2)
 
 
 def all_pairs_ap_40(dets, gts, iou_fn, threshold: float, det_frames, gt_frames) -> ApResult:

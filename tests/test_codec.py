@@ -13,6 +13,7 @@ from gfk import (
     DegenerateBox,
     FrustumCode,
     InvalidStats,
+    NonFiniteBox,
     NonPositiveDimension,
     ObjectClass,
     PEDESTRIAN,
@@ -148,6 +149,18 @@ def test_decode_depth_floor():
     from gfk import NonPositiveDepth
     with pytest.raises(NonPositiveDepth):
         decode(q, p, PEDESTRIAN, 2.0, DEFAULT_CAMERA)
+
+
+@pytest.mark.parametrize("code", [
+    (math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan, 1.0),
+    (1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0),  # finite, but x overflows
+    (0.0, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 1.0),
+], ids=["inf-du", "nan-sin_t", "overflow-x", "overflow-h"])
+def test_decode_non_finite(code):
+    p = Box2D(cls="Pedestrian", u=640.0, v=360.0, w_u=80.0, h_v=230.0)
+    with pytest.raises(NonFiniteBox):
+        decode(FrustumCode(*code), p, PEDESTRIAN, 2.0, DEFAULT_CAMERA)
 
 
 def test_decode_uses_predicted_height_for_anchor():

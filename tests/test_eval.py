@@ -69,6 +69,26 @@ def test_iou_3d_vertical_separation():
     assert iou_3d(a, c) == pytest.approx(inter / union)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-40, 40), st.floats(1, 80), st.floats(0.3, 3), st.floats(0.3, 6),
+       st.floats(-math.pi, math.pi), st.floats(0.05, 0.95))
+def test_iou_of_equal_boxes_slid_along_their_heading(x, z, w, l, yaw, f):
+    # the length runs along (cos yaw, -sin yaw): both length edges stay on shared lines
+    c, s = math.cos(yaw), math.sin(yaw)
+    a = bev_box(x=x, z=z, w=w, l=l, yaw=yaw)
+    b = bev_box(x=x + f * l * c, z=z - f * l * s, w=w, l=l, yaw=yaw)
+    want = (1.0 - f) / (1.0 + f)
+    for iou in (iou_bev, iou_3d):
+        assert iou(a, b) == pytest.approx(want, abs=1e-9)
+        assert iou(b, a) == pytest.approx(want, abs=1e-9)
+    # end to end, and side by side: the boxes only touch
+    for dx, dz in ((l * c, -l * s), (w * s, w * c)):
+        touching = bev_box(x=x + dx, z=z + dz, w=w, l=l, yaw=yaw)
+        for iou in (iou_bev, iou_3d):
+            assert iou(a, touching) == 0.0
+            assert iou(touching, a) == 0.0
+
+
 def test_iou_bev_against_monte_carlo():
     rng = np.random.default_rng(17)
     for _ in range(8):

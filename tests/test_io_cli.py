@@ -32,6 +32,7 @@ from gfk.io_cli import (
 )
 from gfk.errors import ConfigError, EmptyDataset, ParseError
 from gfk.camera import load_calibration
+from gfk.codec import read_predictions
 from gfk.ripsim import GateConfig, default_gates
 
 
@@ -497,6 +498,19 @@ def test_predict_with_perturbation_deterministic(tmp_path):
     first = cfg.predictions_path.read_bytes()
     cmd_predict(cfg)
     assert cfg.predictions_path.read_bytes() == first
+
+
+def test_predict_drops_boxes_that_decode_to_non_finite_values(tmp_path, caplog):
+    p = write_config(tmp_path, {"train": {"epochs": 1}})
+    cfg = load_run_config(p)
+    cmd_simulate(cfg)
+    cmd_train(cfg)
+    model = json.loads(cfg.model_path.read_text())
+    model["weights"][-1] = [1e308] * len(model["weights"][-1])  # decodes to x = inf
+    cfg.model_path.write_text(json.dumps(model))
+    assert main(["predict", "--config", str(p)]) == 0
+    assert "dropping box (NonFiniteBox)" in caplog.text
+    read_predictions(cfg.predictions_path)  # parses: no Infinity or NaN was written
 
 
 @pytest.mark.parametrize("edit", [

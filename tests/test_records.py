@@ -135,6 +135,38 @@ def test_json_nested_too_deep_is_a_parse_error(tmp_path):
     assert err.getvalue().startswith(f"gfk-error: ConfigError: {config}: invalid JSON")
 
 
+def _not_utf8(record: dict) -> bytes:
+    """record as JSON with a byte that is not UTF-8 opening its first key."""
+    return json.dumps(record).encode().replace(b'"', b'"\xff', 1)
+
+
+def test_non_utf8_config_calibration_and_manifest(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"seed": 1, \xff}')
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["simulate", "--config", str(config)]) == 1
+    assert err.getvalue().startswith(
+        f"gfk-error: ConfigError: {config}: not UTF-8: invalid start byte at byte 12")
+    calibration = tmp_path / "calibration.json"
+    calibration.write_bytes(_not_utf8(CALIBRATION))
+    with pytest.raises(ParseError, match=f"^{calibration}: not UTF-8: invalid start byte"):
+        load_calibration(calibration)
+    layout = DatasetLayout(tmp_path)
+    layout.manifest_path.write_bytes(_not_utf8(MANIFEST))
+    with pytest.raises(ParseError, match=f"^{layout.manifest_path}: not UTF-8: invalid start"):
+        load_manifest(layout)
+
+
+@pytest.mark.parametrize("record,read", [(LABEL, read_labels), (PREDICTION, read_predictions)],
+                         ids=["labels", "predictions"])
+def test_non_utf8_json_line_names_its_line(tmp_path, record, read):
+    p = tmp_path / "records.jsonl"
+    p.write_bytes(json.dumps(record).encode() + b"\n" + _not_utf8(record) + b"\n")
+    with pytest.raises(ParseError, match=f"^{p}:2: not UTF-8: invalid start byte"):
+        read(p)
+
+
 @pytest.mark.parametrize("top", [None, 3, "x", [], [MANIFEST]])
 def test_artifact_top_level_must_be_an_object(tmp_path, top):
     p = tmp_path / "artifact.json"
@@ -145,7 +177,7 @@ def test_artifact_top_level_must_be_an_object(tmp_path, top):
     with pytest.raises(ParseError, match="expected an object"):
         load_manifest(DatasetLayout(tmp_path))
     with pytest.raises(ModelParseError, match="expected an object"):
-        parse_model(json.dumps(top), "model.json")
+        parse_model(json.dumps(top).encode(), "model.json")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +298,18 @@ def test_predict_bad_model_file_is_model_parse_error(trained, tmp_path, edit, wh
     assert rc == 1
     model_path = tmp_path / "bad" / "model.json"
     assert err.startswith(f"gfk-error: ModelParseError: {model_path}: {where}")
+
+
+def test_non_utf8_model_is_model_parse_error(trained, tmp_path):
+    config, model = trained
+    out = tmp_path / "bad"
+    out.mkdir()
+    (out / "model.json").write_bytes(_not_utf8(model))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["predict", "--config", str(config), "--out", str(out)]) == 1
+    assert err.getvalue().startswith(
+        f"gfk-error: ModelParseError: {out / 'model.json'}: not UTF-8: invalid start byte")
 
 
 @settings(max_examples=150, deadline=None,

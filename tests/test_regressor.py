@@ -303,7 +303,7 @@ def test_model_json_roundtrip():
     for mask, stored in ((np.ones(FEATURE_SIZE), None), (ablated, ablated.tolist())):
         text = model_to_json(params, 2.5, mask, classes)
         assert json.loads(text)["meta"]["feature_mask"] == stored
-        back, k, mask_back, classes_back = parse_model(text, "model.json")
+        back, k, mask_back, classes_back = parse_model(text.encode(), "model.json")
         assert [w.shape for w in back.weights] == [w.shape for w in params.weights]
         np.testing.assert_array_equal(back.flat, params.flat)
         assert k == 2.5
@@ -313,17 +313,17 @@ def test_model_json_roundtrip():
 
 def test_model_parse_errors():
     with pytest.raises(ModelParseError):
-        parse_model("not json", "model.json")
+        parse_model(b"not json", "model.json")
     text = model_to_json(init_params(sizes=(24, 4, 8), seed=0), 2.0, np.ones(FEATURE_SIZE),
                          {"Car": CAR})
     good = json.loads(text)
     good["weights"][0] = good["weights"][0][:-1]  # truncate the flat weight list
     with pytest.raises(ModelParseError):
-        parse_model(json.dumps(good), "model.json")
+        parse_model(json.dumps(good).encode(), "model.json")
     bad_sizes = json.loads(text)
     bad_sizes["sizes"] = [24]
     with pytest.raises(ModelParseError):
-        parse_model(json.dumps(bad_sizes), "model.json")
+        parse_model(json.dumps(bad_sizes).encode(), "model.json")
 
 
 def test_metrics_csv_shape():
