@@ -23,14 +23,12 @@ from .codec import (
     triangulate_depth,
 )
 from .errors import (
-    AmbiguousRange,
     BehindCamera,
     ConfigError,
     DegenerateBox,
     EmptyDataset,
     FullyOutOfImage,
     GfkError,
-    InsufficientSignal,
     InvalidAlbedo,
     InvalidStats,
     ModelParseError,
@@ -58,11 +56,8 @@ from .ripsim import (
     GatedFrame,
     NOISELESS,
     NoiseConfig,
-    RipTable,
     SPEED_OF_LIGHT,
-    build_rip_table,
     default_gates,
-    depth_from_ratios,
     render_frame,
     rip_value,
 )

@@ -21,14 +21,6 @@ class InvalidAlbedo(GfkError):
     """Albedo outside [0, 1]."""
 
 
-class InsufficientSignal(GfkError):
-    """Measured slice sum too small to form ratios."""
-
-
-class AmbiguousRange(GfkError):
-    """Ratio lookup found two near-equal minima far apart in range."""
-
-
 class BehindCamera(GfkError):
     """Box entirely behind the image plane."""
 

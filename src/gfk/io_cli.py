@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import uuid
@@ -572,10 +571,10 @@ def cmd_codec_check(cfg: RunConfig) -> dict:
         "max_dimension_error": max((row[2] for row in rows), default=0.0),
         "max_yaw_error": max((row[3] for row in rows), default=0.0),
         "dz": {
-            "mean": float(dz.mean()) if dz.size else math.nan,
-            "std": float(dz.std()) if dz.size else math.nan,
-            "min": float(dz.min()) if dz.size else math.nan,
-            "max": float(dz.max()) if dz.size else math.nan,
+            "mean": float(dz.mean()) if dz.size else None,
+            "std": float(dz.std()) if dz.size else None,
+            "min": float(dz.min()) if dz.size else None,
+            "max": float(dz.max()) if dz.size else None,
         },
         "record_errors": record_errors,
     }

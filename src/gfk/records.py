@@ -134,7 +134,7 @@ def parse_json(data: bytes):
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
         raise FieldError(f"not UTF-8: {e.reason} at byte {e.start}") from None
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as e:  # nested too deep, or an integer too long
         raise FieldError(f"invalid JSON: {e}") from None
 
 

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .camera import CameraModel, CamPoint, project
-from .errors import AmbiguousRange, InsufficientSignal, NegativeRange
+from .errors import NegativeRange
 from .scene import SceneDescription
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -121,7 +121,7 @@ def default_gates() -> tuple[GateConfig, GateConfig, GateConfig]:
     Supports land near [-5, 42], [2, 102] and [36, 112] m: a near gate, a
     broad middle gate and a far gate. At least two profiles are nonzero
     everywhere on [3, 100] m and no two plateaus coincide, so the normalized
-    ratio vector is injective there (depth_from_ratios relies on this).
+    ratio vector is injective there (criterion 7 checks this).
     Amplitudes are chosen so every plateau sits at the same intensity.
     """
     return (
@@ -258,65 +258,6 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
         signal = np.take(albedos * rip_value(gates[i], ranges), index)
         data[i] = _measure_array(signal, noise, rng)
     return GatedFrame(slices=data)
-
-
-# A lookup needs a slice sum above TAU_SUM. It is ambiguous when a range more
-# than AMBIGUITY_RADIUS (m) from the best one matches within AMBIGUITY_TOL.
-TAU_SUM = 1e-3
-AMBIGUITY_RADIUS = 0.5
-AMBIGUITY_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class RipTable:
-    """Normalized ratio vectors of three gates on one range grid.
-
-    ranges has shape (N,); ratios has shape (N, 3), each row the three
-    profile values divided by their sum. Ranges where every profile is zero
-    have no ratio vector and are left out.
-    """
-
-    ranges: np.ndarray
-    ratios: np.ndarray
-
-
-def build_rip_table(gates) -> RipTable:
-    """Three gates tabulated on [3, 100] m in 0.01 m steps, the region where
-    the normalized ratio vector of the default gates is injective."""
-    ranges = 3.0 + 0.01 * np.arange(9701)
-    values = np.stack([rip_value(g, ranges) for g in gates], axis=1)
-    sums = values.sum(axis=1)
-    valid = sums > 0
-    return RipTable(ranges[valid], values[valid] / sums[valid, None])
-
-
-def depth_from_ratios(z1: float, z2: float, z3: float, table: RipTable) -> float:
-    """Recover range from three slice intensities by normalized-ratio lookup.
-
-    Albedo cancels in the normalization, so any uniform scaling of the
-    inputs maps to the same range. Raises InsufficientSignal when the slice
-    sum is at or below TAU_SUM, AmbiguousRange when a second minimum more
-    than AMBIGUITY_RADIUS away matches within AMBIGUITY_TOL.
-    """
-    total = z1 + z2 + z3
-    if total <= TAU_SUM:
-        raise InsufficientSignal(f"slice sum {total} <= {TAU_SUM}")
-    meas = np.array([z1, z2, z3], dtype=np.float64) / total
-    if len(table.ranges) == 0:
-        raise InsufficientSignal("all table entries are zero")
-    diff = table.ratios - meas
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    best = int(np.argmin(dist))
-    ranges = table.ranges
-    far = np.abs(ranges - ranges[best]) > AMBIGUITY_RADIUS
-    if np.any(far):
-        runner_up = float(np.min(dist[far]))
-        if runner_up - dist[best] < AMBIGUITY_TOL:
-            raise AmbiguousRange(
-                f"ranges {ranges[best]:.2f} and {ranges[far][np.argmin(dist[far])]:.2f} "
-                f"both match within {AMBIGUITY_TOL}"
-            )
-    return float(ranges[best])
 
 
 # ---------------------------------------------------------------------------

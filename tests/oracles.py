@@ -4,11 +4,14 @@ Each oracle recomputes a quantity the library produces in closed form, using
 a method that shares no code with the implementation: adaptive quadrature for
 the range-intensity profile, stratified Monte Carlo for rotated-rectangle
 IoU, threshold enumeration for average precision, and central differences
-for gradients. whole_frame_features, full_frame_render and
-per_kind_evaluate are the exceptions: they are the box feature extractor,
-the frame renderer and the report scorer as first written, kept to pin that
-cropping first, rendering from an object-index map and scoring from shared
-BEV intersections change no bit. Keep these dumb and obviously correct.
+for gradients. ratio_table and range_from_ratios look a range up from three
+slice intensities by nearest normalized ratio vector; the library has no
+such lookup, and the tests use it to check that the gates identify range.
+whole_frame_features, full_frame_render and per_kind_evaluate are the
+exceptions: they are the box feature extractor, the frame renderer and the
+report scorer as first written, kept to pin that cropping first, rendering
+from an object-index map and scoring from shared BEV intersections change
+no bit. Keep these dumb and obviously correct.
 """
 
 from __future__ import annotations
@@ -41,6 +44,24 @@ def quad_rip(gate, r: float) -> float:
     if gate.inverse_square:
         att /= max(r, 0.5) ** 2
     return gate.gate_amplitude * gate.pulse_amplitude * val * att
+
+
+def ratio_table(gates) -> tuple[np.ndarray, np.ndarray]:
+    """Ranges on [3, 100] m in 0.01 m steps, shape (N,), and the gates'
+    profile values over their sum at each, shape (N, 3). Ranges where every
+    profile is zero are left out."""
+    ranges = 3.0 + 0.01 * np.arange(9701)
+    values = np.stack([rip_value(g, ranges) for g in gates], axis=1)
+    sums = values.sum(axis=1)
+    keep = sums > 0
+    return ranges[keep], values[keep] / sums[keep, None]
+
+
+def range_from_ratios(z, table) -> float:
+    """The table range whose ratio vector is nearest to z / sum(z)."""
+    ranges, ratios = table
+    z = np.asarray(z, dtype=np.float64)
+    return float(ranges[np.argmin(((ratios - z / z.sum()) ** 2).sum(axis=1))])
 
 
 def _inside_convex(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -22,17 +22,14 @@ from gfk import (
     DEFAULT_CAMERA,
     PEDESTRIAN,
     ap_40,
-    build_rip_table,
     decode,
     default_gates,
-    depth_from_ratios,
     encode,
     frustum_segment,
     iou_bev,
     rip_value,
     wrap_to_pi,
 )
-from gfk.errors import GfkError
 from gfk.io_cli import (
     DatasetLayout,
     cmd_eval,
@@ -47,7 +44,8 @@ from gfk.ripsim import GateConfig, NoiseConfig, _measure_array
 from gfk.scene import oracle_box2d, read_labels
 
 from conftest import record_criterion
-from oracles import brute_force_ap40, fd_gradient, mc_iou_bev, quad_rip
+from oracles import (brute_force_ap40, fd_gradient, mc_iou_bev, quad_rip, range_from_ratios,
+                     ratio_table)
 
 NS = 1e-9
 
@@ -254,18 +252,14 @@ def test_ap40_fixtures_and_brute_force():
 
 def test_depth_recovery_on_range_grid():
     gates = default_gates()
-    table = build_rip_table(gates)
+    table = ratio_table(gates)
     grid = 3.0 + 0.1 * np.arange(971)
     total = hits = 0
     worst = 0.0
     for albedo in (0.1, 0.5, 1.0):
         for r in grid:
-            z1, z2, z3 = (albedo * rip_value(g, float(r)) for g in gates)
+            back = range_from_ratios([albedo * rip_value(g, float(r)) for g in gates], table)
             total += 1
-            try:
-                back = depth_from_ratios(z1, z2, z3, table)
-            except GfkError:
-                continue
             err = abs(back - float(r))
             worst = max(worst, err)
             if err <= 0.01 + 1e-9:

@@ -470,6 +470,21 @@ def test_codec_check_records_every_bad_line_and_goes_on(tmp_path):
     assert out["max_position_error"] < 1e-9
 
 
+def test_codec_check_without_boxes_writes_strict_json(tmp_path):
+    cfg = load_run_config(write_config(
+        tmp_path, {"dataset": {"frames": {"train": 0, "val": 0, "test": 0}}}))
+    cmd_simulate(cfg)
+    cmd_codec_check(cfg)
+
+    def reject(name):
+        raise ValueError(f"codec_check.json holds {name}")
+
+    out = json.loads(cfg.codec_check_path.read_text(), parse_constant=reject)
+    assert out["boxes"] == 0
+    assert out["dz"] == {"mean": None, "std": None, "min": None, "max": None}
+    assert out["max_position_error"] == 0.0
+
+
 def test_train_without_dataset(tmp_path):
     cfg = load_run_config(write_config(tmp_path))
     with pytest.raises(EmptyDataset):

@@ -121,18 +121,21 @@ def test_any_manifest_value_parses_or_raises_parse_error(tmp_path, path, value):
         assert str(e).startswith(f"{layout.manifest_path}: ")
 
 
-def test_json_nested_too_deep_is_a_parse_error(tmp_path):
-    deep = "[" * 100_000 + "]" * 100_000
+@pytest.mark.parametrize("payload,reason", [
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+    ('{"seed": ' + "1" * 5_000 + "}", "Exceeds the limit"),
+], ids=["nested-too-deep", "integer-too-long"])
+def test_json_nested_too_deep_is_a_parse_error(tmp_path, payload, reason):
     p = tmp_path / "labels.jsonl"
-    p.write_text(deep + "\n")
-    with pytest.raises(ParseError, match=f"^{p}:1: invalid JSON: maximum recursion depth"):
+    p.write_text(payload + "\n")
+    with pytest.raises(ParseError, match=f"^{p}:1: invalid JSON: {reason}"):
         read_labels(p)
     config = tmp_path / "run.json"
-    config.write_text(deep)
+    config.write_text(payload)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         assert main(["simulate", "--config", str(config)]) == 1
-    assert err.getvalue().startswith(f"gfk-error: ConfigError: {config}: invalid JSON")
+    assert err.getvalue().startswith(f"gfk-error: ConfigError: {config}: invalid JSON: {reason}")
 
 
 def _not_utf8(record: dict) -> bytes:

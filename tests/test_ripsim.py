@@ -5,25 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfk import (
-    AmbiguousRange,
     CameraModel,
     GateConfig,
-    InsufficientSignal,
     NOISELESS,
     NegativeRange,
     NonPositiveDepth,
     NoiseConfig,
     SPEED_OF_LIGHT,
-    build_rip_table,
     default_gates,
-    depth_from_ratios,
     render_frame,
     rip_value,
 )
 from gfk.ripsim import _measure_array
 from gfk.scene import Box3D, SceneDescription, SceneObject
 
-from oracles import full_frame_render, quad_rip
+from oracles import full_frame_render, quad_rip, range_from_ratios, ratio_table
 
 NS = 1e-9
 
@@ -336,76 +332,35 @@ def test_render_matches_full_frame_oracle_bit_for_bit(case):
 
 
 # ---------------------------------------------------------------------------
-# range tables and recovery
-
-def test_table_build_grid():
-    gates = default_gates()
-    t = build_rip_table(gates)
-    r = t.ranges
-    assert r[0] == 3.0
-    assert r[-1] == pytest.approx(100.0)
-    assert len(r) == 9701
-    assert t.ratios.shape == (9701, 3)
-    for row, r_row in ((0, 3.0), (-1, 100.0)):
-        values = np.array([rip_value(g, r_row) for g in gates])
-        assert t.ratios[row] == pytest.approx(values / values.sum())
-
+# range recovery from the gates' ratios
 
 def test_depth_recovery_on_grid():
     gates = default_gates()
-    table = build_rip_table(gates)
+    table = ratio_table(gates)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(300):
         r_true = rng.uniform(3.0, 100.0)
         albedo = rng.uniform(0.1, 1.0)
-        z = [rip_value(g, r_true) * albedo for g in gates]
-        r_hat = depth_from_ratios(z[0], z[1], z[2], table)
+        r_hat = range_from_ratios([rip_value(g, r_true) * albedo for g in gates], table)
         worst = max(worst, abs(r_hat - r_true))
     assert worst <= 0.01 + 1e-9
 
 
 def test_depth_recovery_albedo_invariant():
     gates = default_gates()
-    table = build_rip_table(gates)
-    z = [rip_value(g, 47.3) for g in gates]
-    a = depth_from_ratios(z[0], z[1], z[2], table)
-    b = depth_from_ratios(0.05 * z[0], 0.05 * z[1], 0.05 * z[2], table)
-    assert a == b
-
-
-def test_depth_recovery_insufficient_signal():
-    table = build_rip_table(default_gates())
-    with pytest.raises(InsufficientSignal):
-        depth_from_ratios(1e-4, 1e-4, 1e-4, table)
-    # gates that see nothing on [3, 100] m leave the table without a row
-    dead = gate(2000, 10, 10)
-    with pytest.raises(InsufficientSignal, match="all table entries are zero"):
-        depth_from_ratios(1.0, 2.0, 3.0, build_rip_table((dead, dead, dead)))
-
-
-def test_depth_recovery_ambiguous():
-    # two identical gates and one dead one: the ratio vector cannot separate
-    # ranges inside the shared plateau
-    g = gate(100, 300, 100, pulse_amplitude=600 / (100 * NS))
-    dead = gate(2000, 10, 10)
-    table = build_rip_table((g, g, dead))
-    plo, phi = g.plateau_range
-    r = (plo + phi) / 2
-    z1 = rip_value(g, r)
-    with pytest.raises(AmbiguousRange):
-        depth_from_ratios(z1, z1, 0.0, table)
+    table = ratio_table(gates)
+    z = np.array([rip_value(g, 47.3) for g in gates])
+    assert range_from_ratios(z, table) == range_from_ratios(0.05 * z, table)
 
 
 def test_normalized_ratio_vector_injective_at_working_resolution():
     # non-adjacent grid points must have well-separated normalized signatures,
     # otherwise noiseless range recovery could alias
-    table = build_rip_table(default_gates())
-    vals = table.ratios
+    r, vals = ratio_table(default_gates())
     norms = np.linalg.norm(vals, axis=1)
     assert norms.min() > 0
     unit = vals / norms[:, None]
-    r = table.ranges
     n = len(r)
     min_sep = math.inf
     block = 600
