@@ -70,10 +70,11 @@ def extract_features(slices: np.ndarray, p: Box2D) -> np.ndarray:
     if p.cls in CLASS_ORDER:
         x[22 + CLASS_ORDER.index(p.cls)] = 1.0
 
-    c0 = max(0, int(math.floor(p.u - p.w_u / 2.0)))
-    c1 = min(img_w, int(math.ceil(p.u + p.w_u / 2.0)))
-    r0 = max(0, int(math.floor(p.v - p.h_v / 2.0)))
-    r1 = min(img_h, int(math.ceil(p.v + p.h_v / 2.0)))
+    # each edge is clamped to the image before rounding, as it may be +-inf
+    c0 = math.floor(min(max(0.0, p.u - p.w_u / 2.0), img_w))
+    c1 = math.ceil(min(max(0.0, p.u + p.w_u / 2.0), img_w))
+    r0 = math.floor(min(max(0.0, p.v - p.h_v / 2.0), img_h))
+    r1 = math.ceil(min(max(0.0, p.v + p.h_v / 2.0), img_h))
     if c0 >= c1 or r0 >= r1:
         return x
     crop = np.asarray(slices[:, r0:r1, c0:c1], dtype=np.float64)

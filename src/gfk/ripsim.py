@@ -15,9 +15,9 @@ amplitude * min(t_g, t_p).
 Pixels see the profile scaled by albedo, then shot noise (scaled Poisson)
 plus gaussian read noise, then optional clipping and 10-bit quantization.
 A frame holds one (range, albedo) pair per object plus the background, so
-render_frame draws an object-index map, evaluates the profile once per
-object and gathers; Poisson counts are drawn only where the rate is
-non-zero, which leaves the draws as they would be over every pixel.
+render_frame draws a 1-byte object-index map (up to 255 objects), evaluates
+the profile once per object and measures each slice band by band through
+the map; render_frame says why the bytes match a draw over the whole slice.
 """
 
 from __future__ import annotations
@@ -166,35 +166,49 @@ NOISELESS = NoiseConfig(read_noise_sigma=0.0, photon_scale=math.inf, enable_clip
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
-def _measure_array(signal: np.ndarray, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
-    """One noisy reading of a signal array, in a new float64 array.
+# Pixels measured per band: no full-frame float64 array is made, and a
+# 1280-wide slice goes in bands of 51 rows.
+BAND_PIXELS = 1 << 16
 
+
+def _measure_slice(values: np.ndarray, index: np.ndarray, noise: NoiseConfig,
+                   rng: np.random.Generator, out: np.ndarray) -> None:
+    """One noisy reading of values[index], written into out band by band.
+
+    values holds one signal per object, index the (H, W) object-index map.
     Shot noise is drawn first, read noise second, from the one generator.
     Poisson counts are drawn only where the signal is non-zero: numpy
-    returns 0 for a zero rate without advancing the generator, so the counts
-    and the generator state after them are those of one draw over the whole
-    array (tests/test_ripsim.py pins this). The read noise is drawn straight
-    into the output and the counts are added where they are non-zero; as
-    rng.normal(0, sigma) never returns -0.0 and addition commutes, every
-    element equals counts / photon_scale + read noise.
+    returns 0 for a zero rate without advancing the generator (pinned in
+    tests/test_ripsim.py), and draws over consecutive bands consume the
+    stream as one draw over the slice does, so counts and generator state
+    are those of one draw over every pixel. Each band's read noise is drawn
+    into it and the counts added where non-zero; as rng.normal(0, sigma)
+    never returns -0.0 and addition commutes, every element equals
+    counts / photon_scale + read noise.
     """
-    signal = np.asarray(signal, dtype=np.float64)
-    if math.isinf(noise.photon_scale):
-        out = signal.copy()
-        if noise.read_noise_sigma > 0:
-            out += rng.normal(0.0, noise.read_noise_sigma, size=out.shape)
-    else:
-        lit = signal != 0
-        shot = rng.poisson(signal[lit] * noise.photon_scale) / noise.photon_scale
-        if noise.read_noise_sigma > 0:
-            out = rng.normal(0.0, noise.read_noise_sigma, size=signal.shape)
+    step = max(1, BAND_PIXELS // index.shape[1])
+    bands = [slice(r, r + step) for r in range(0, index.shape[0], step)]
+    sigma, shot = noise.read_noise_sigma, not math.isinf(noise.photon_scale)
+    # numpy gathers through intp indices several times faster than through
+    # the map's narrow dtype, so each band's indices are widened first
+    if shot:
+        lit = values != 0
+        rates = values * noise.photon_scale
+        counts = [rng.poisson(np.take(rates, i[np.take(lit, i)]))
+                  for i in (index[b].astype(np.intp) for b in bands)]
+    for k, b in enumerate(bands):
+        i = index[b].astype(np.intp)
+        if shot:
+            x = rng.normal(0.0, sigma, size=i.shape) if sigma > 0 else np.zeros(i.shape)
+            x[np.take(lit, i)] += counts[k] / noise.photon_scale
         else:
-            out = np.zeros_like(signal)
-        out[lit] += shot
-    if noise.enable_clipping:
-        np.clip(out, 0, noise.full_scale, out=out)
-        np.rint(out, out=out)
-    return out
+            x = np.take(values, i)
+            if sigma > 0:
+                x += rng.normal(0.0, sigma, size=i.shape)
+        if noise.enable_clipping:
+            np.clip(x, 0, noise.full_scale, out=x)
+            np.rint(x, out=x)
+        out[b] = x
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,13 +233,13 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
     the box z) into a z-buffer over a constant-range background. The
     z-buffer is an object-index map: 0 is the background, k the k-th drawn
     object, and a pixel changes hands only to a strictly nearer object. Each
-    slice evaluates the profile once per object range, scales it by the
-    object albedo and gathers the values through the map, so no full-frame
-    depth or albedo image exists. Each slice is then measured with its own
-    RNG substream, so slices stay independent but the whole frame is
-    reproducible from the seed; Poisson counts are drawn only at pixels with
-    a positive rate (see _measure_array), which leaves every byte as a draw
-    over all pixels would.
+    slice evaluates the profile once per object range and scales it by the
+    object albedo; _measure_slice gathers these values through the map one
+    band of rows at a time, so no full-frame depth, albedo or float64 image
+    exists. Each slice is measured with its own RNG substream, so slices
+    stay independent but the whole frame is reproducible from the seed.
+    Poisson counts come first, only at lit pixels, and run on across bands
+    in one stream, so every byte is that of a draw over all pixels at once.
     """
     gates = tuple(gates)
     if len(gates) != 3:
@@ -233,7 +247,7 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
     h_img, w_img = cam.height, cam.width
     ranges = [float(scene.background_range)]
     albedos = [float(scene.background_albedo)]
-    index = np.zeros((h_img, w_img), np.intp)
+    index = np.zeros((h_img, w_img), np.min_scalar_type(len(scene.objects)))
     for obj in scene.objects:
         box = obj.box
         half_w = (box.l * abs(math.cos(box.yaw)) + box.w * abs(math.sin(box.yaw))) / 2.0
@@ -254,9 +268,8 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
     streams = np.random.SeedSequence(seed).spawn(3)
     data = np.empty((3, h_img, w_img), np.uint16 if noise.enable_clipping else np.float64)
     for i in range(3):
-        rng = np.random.default_rng(streams[i])
-        signal = np.take(albedos * rip_value(gates[i], ranges), index)
-        data[i] = _measure_array(signal, noise, rng)
+        _measure_slice(albedos * rip_value(gates[i], ranges), index, noise,
+                       np.random.default_rng(streams[i]), data[i])
     return GatedFrame(slices=data)
 
 

@@ -40,7 +40,7 @@ from gfk.io_cli import (
     load_run_config,
 )
 from gfk.loss import LossWeights, _loss_batch
-from gfk.ripsim import GateConfig, NoiseConfig, _measure_array
+from gfk.ripsim import GateConfig, NoiseConfig, _measure_slice
 from gfk.scene import oracle_box2d, read_labels
 
 from conftest import record_criterion
@@ -100,7 +100,8 @@ def test_noise_moments_match_analytics():
     for albedo, r in points:
         signal = albedo * rip_value(gate, r)
         assert signal > 0.0, (albedo, r)
-        x = _measure_array(np.full(n, signal), noise, rng)
+        x = np.empty((1, n))
+        _measure_slice(np.array([signal]), np.zeros((1, n), np.uint8), noise, rng, x)
         var = signal / ps + sg**2
         se_mean = math.sqrt(var / n)
         kappa4 = signal * ps / ps**4

@@ -515,6 +515,29 @@ def test_predict_with_perturbation_deterministic(tmp_path):
     assert cfg.predictions_path.read_bytes() == first
 
 
+def test_labels_with_an_overflowing_box2d_end_cleanly(tmp_path, capsys):
+    # u + w_u / 2 overflows to inf: the crop edges must not round an infinity
+    p = write_config(tmp_path, {"train": {"epochs": 1}})
+    cfg = load_run_config(p)
+    cmd_simulate(cfg)
+    cmd_train(cfg)
+    bad = {"class": "Car", "x": 0.5, "y": 1.65, "z": 20.0, "h": 1.5, "w": 1.8, "l": 4.3,
+           "yaw": 0.0, "box2d": [1.7e308, 10.0, 1.7e308, 5.0], "albedo": 0.5}
+    for labels in DatasetLayout(cfg.dataset_dir).frames_dir.glob("*/labels.jsonl"):
+        with labels.open("a") as f:
+            f.write(json.dumps(bad) + "\n")
+    runs = [["predict", "--config", str(p)],
+            ["predict", "--config",
+             str(write_config(tmp_path, {"predict": {"perturb": 0.05}}, name="p.json"))],
+            ["train", "--config", str(p)]]
+    for argv in runs:
+        capsys.readouterr()
+        rc = main(argv)
+        assert rc in (0, 1), argv
+        if rc == 1:
+            assert capsys.readouterr().err.splitlines()[-1].startswith("gfk-error:"), argv
+
+
 def test_predict_drops_boxes_that_decode_to_non_finite_values(tmp_path, caplog):
     p = write_config(tmp_path, {"train": {"epochs": 1}})
     cfg = load_run_config(p)

@@ -8,8 +8,10 @@ a lit background, and one 1280x720 frame with the default gates, each under
 the default, the noiseless and the non-clipping noise model.
 """
 
+import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -86,3 +88,20 @@ def render_digest(scene_name: str, noise_name: str) -> str:
 def test_render_matches_golden_digest(scene_name, noise_name):
     golden = json.loads(GOLDEN.read_text())["digests"]
     assert render_digest(scene_name, noise_name) == golden[f"{scene_name}/{noise_name}"]
+
+
+@pytest.mark.parametrize("background,bound", [((), 16.0), ((0.25, 60.0), 24.0)])
+def test_fullres_render_working_set_per_pixel(background, bound):
+    # numpy reports its buffers to tracemalloc, so this counts the bytes the
+    # render allocates, returned slices (6 B/px) included, and not the RSS
+    scene, cam, gates, seed = SCENES["fullres-default"]
+    if background:
+        scene = dataclasses.replace(scene, background_albedo=background[0],
+                                    background_range=background[1])
+    tracemalloc.start()
+    try:
+        render_frame(scene, gates, cam, NoiseConfig(), seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (cam.width * cam.height) < bound

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from gfk import (
     render_frame,
     rip_value,
 )
-from gfk.ripsim import _measure_array
+from gfk import ripsim
+from gfk.ripsim import _measure_slice
 from gfk.scene import Box3D, SceneDescription, SceneObject
 
 from oracles import full_frame_render, quad_rip, range_from_ratios, ratio_table
@@ -146,8 +148,11 @@ def test_noiseless_measurement_is_exact():
     g = gate(87, 194, 120, pulse_amplitude=600 / (120 * NS))
     rng = np.random.default_rng(0)
     signal = 0.7 * rip_value(g, np.linspace(0.0, 60.0, 121))
+    index = np.arange(len(signal))[None]
     for _ in range(5):
-        assert _measure_array(signal, NOISELESS, rng).tobytes() == signal.tobytes()
+        out = np.empty((1, len(signal)))
+        _measure_slice(signal, index, NOISELESS, rng, out)
+        assert out.tobytes() == signal.tobytes()
 
 
 def test_noise_moments_match_analytic():
@@ -156,7 +161,8 @@ def test_noise_moments_match_analytic():
     noise = NoiseConfig(read_noise_sigma=sg, photon_scale=ps, enable_clipping=False)
     rng = np.random.default_rng(7)
     n = 200_000
-    x = _measure_array(np.full(n, sig), noise, rng)
+    x = np.empty((1, n))
+    _measure_slice(np.array([sig]), np.zeros((1, n), np.uint8), noise, rng, x)
     var = sig / ps + sg**2
     se_mean = math.sqrt(var / n)
     # kurtosis of the Poisson part enters the variance of the sample variance
@@ -167,7 +173,7 @@ def test_noise_moments_match_analytic():
 
 
 def test_poisson_zero_rate_draws_zero_and_consumes_no_bits():
-    # _measure_array draws Poisson only at non-zero rates; that keeps the
+    # _measure_slice draws Poisson only at non-zero rates; that keeps the
     # rendered bytes only while numpy returns 0 for a zero rate without
     # advancing the generator, which this pins
     rates = np.zeros(4000)
@@ -184,7 +190,8 @@ def test_clipping_clamps_and_rounds():
     noise = NoiseConfig(read_noise_sigma=400.0, photon_scale=1.0, enable_clipping=True,
                         full_scale=1023)
     rng = np.random.default_rng(3)
-    x = _measure_array(np.full(20_000, 500.0), noise, rng)
+    x = np.empty((1, 20_000))
+    _measure_slice(np.array([500.0]), np.zeros((1, 20_000), np.uint8), noise, rng, x)
     assert x.min() >= 0.0
     assert x.max() <= 1023.0
     assert np.all(x == np.rint(x))
@@ -329,6 +336,10 @@ def test_render_matches_full_frame_oracle_bit_for_bit(case):
     got = render_frame(scene, gates, cam, noise, seed).slices
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+    # five bands of 5, 5, 5, 5 and 4 rows: the draws run on across band edges
+    with mock.patch.object(ripsim, "BAND_PIXELS", 200):
+        banded = render_frame(scene, gates, cam, noise, seed).slices
+    assert banded.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
