@@ -54,7 +54,6 @@ from .regressor import (
 from .ripsim import (
     GateConfig,
     GatedFrame,
-    NOISELESS,
     NoiseConfig,
     SPEED_OF_LIGHT,
     default_gates,

@@ -18,9 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, NamedTuple
 
 from .camera import (
     CameraModel,
@@ -46,8 +44,7 @@ Z_FLOOR = 0.5
 EPS_PX = 1e-3
 
 
-@dataclass(frozen=True)
-class FrustumCode:
+class FrustumCode(NamedTuple):
     """The eight regression coefficients for one box."""
 
     du: float
@@ -58,18 +55,6 @@ class FrustumCode:
     dl: float
     sin_t: float
     cos_t: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.du, self.dv, self.dz, self.dh, self.dw, self.dl, self.sin_t, self.cos_t]
-        )
-
-    @classmethod
-    def from_array(cls, a) -> "FrustumCode":
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (8,):
-            raise ValueError(f"expected 8 coefficients, got shape {a.shape}")
-        return cls(*(float(t) for t in a))
 
 
 @dataclass(frozen=True)
@@ -113,14 +98,14 @@ def frustum_segment(p: Box2D, stats: ObjectClass, k: float, cam: CameraModel,
 
 
 def encode(b: Box3D, p: Box2D, stats: ObjectClass, k: float, cam: CameraModel) -> FrustumCode:
-    """Regression targets of a 3D box relative to its 2D box."""
+    """Regression targets of a 3D box relative to its 2D box; NonFiniteBox on overflow."""
     if b.cls != p.cls:
         raise ValueError(f"class mismatch: 3D box is {b.cls}, 2D box is {p.cls}")
     px = project(b.center, cam)
     seg = frustum_segment(p, stats, k, cam, h_ref=b.h)
     mu_h, mu_w, mu_l = stats.dim_mean
     theta = yaw_to_observation_angle(b.yaw, b.center)
-    return FrustumCode(
+    q = FrustumCode(
         du=(px.u - p.u) / p.w_u,
         dv=(px.v - p.v) / p.h_v,
         dz=(b.z - seg.z_anchor) / seg.d,
@@ -130,11 +115,14 @@ def encode(b: Box3D, p: Box2D, stats: ObjectClass, k: float, cam: CameraModel) -
         sin_t=math.sin(theta),
         cos_t=math.cos(theta),
     )
+    if not all(map(math.isfinite, q)):  # an extreme label overflows
+        raise NonFiniteBox(f"code is not finite: {q}")
+    return q
 
 
 def decode(q: FrustumCode, p: Box2D, stats: ObjectClass, k: float, cam: CameraModel) -> Box3D:
     """Rebuild a 3D box from predicted coefficients and the 2D box they refer to."""
-    if not all(map(math.isfinite, vars(q).values())):  # predict writes the code too
+    if not all(map(math.isfinite, q)):  # predict writes the code too
         raise NonFiniteBox(f"code is not finite: {q}")
     mu_h, mu_w, mu_l = stats.dim_mean
     for name, d_rel in (("h", q.dh), ("w", q.dw), ("l", q.dl)):
@@ -175,6 +163,6 @@ def read_predictions(path) -> list[tuple[str, Box3D, Box2D, FrustumCode]]:
 
 def predictions_to_jsonl(rows: Iterable[tuple[str, Box3D, Box2D, FrustumCode]]) -> str:
     return "".join(
-        json.dumps({"frame": fid, **box_record(b, p, score=b.score), "code": list(q.as_array())})
+        json.dumps({"frame": fid, **box_record(b, p, score=b.score), "code": list(q)})
         + "\n" for fid, b, p, q in rows
     )

@@ -113,15 +113,7 @@ def ap_40(dets: Sequence, gts: Sequence, iou_fn: Callable, threshold: float,
     """
     if len(det_frames) != len(dets) or len(gt_frames) != len(gts):
         raise ValueError("frame id lists must align with the box lists")
-    return _ap_40([d.score for d in dets], det_frames, gt_frames,
-                  lambda i, j: iou_fn(dets[i], gts[j]), threshold)
-
-
-def _ap_40(scores: Sequence[float], det_frames: Sequence, gt_frames: Sequence,
-           iou_of: Callable[[int, int], float], threshold: float) -> ApResult:
-    """ap_40 on detection scores and frames, iou_of(i, j) giving the IoU of
-    detection i and ground-truth box j."""
-    n_det, n_gt = len(scores), len(gt_frames)
+    n_det, n_gt = len(dets), len(gts)
     if not n_gt:
         if not n_det:
             return ApResult(ap=None, n_gt=0, n_det=0, n_matched=0)
@@ -130,7 +122,7 @@ def _ap_40(scores: Sequence[float], det_frames: Sequence, gt_frames: Sequence,
         return ApResult(ap=0.0, n_gt=n_gt, n_det=0, n_matched=0)
 
     # Greedy matching: tp[rank] flags the rank-th detection by descending score.
-    order = sorted(range(n_det), key=lambda i: -scores[i])  # stable on ties
+    order = sorted(range(n_det), key=lambda i: -dets[i].score)  # stable on ties
     gts_in_frame: dict = {}
     for j, frame in enumerate(gt_frames):
         gts_in_frame.setdefault(frame, []).append(j)  # ascending gt index
@@ -142,7 +134,7 @@ def _ap_40(scores: Sequence[float], det_frames: Sequence, gt_frames: Sequence,
         for j in gts_in_frame.get(det_frames[di], ()):
             if taken[j]:
                 continue
-            iou = iou_of(di, j)
+            iou = iou_fn(dets[di], gts[j])
             if iou >= threshold and iou > best_iou:  # strict > keeps the lowest gt index on ties
                 best_iou = iou
                 best_j = j
@@ -240,31 +232,30 @@ def evaluate(dets: Sequence[Row], gts: Sequence[Row], cfg: EvalConfig) -> EvalRe
         threshold = cfg.iou_thresholds[cls]
         cls_dets = [r for r in dets if r[1].cls == cls]
         cls_gts = [r for r in gts if r[1].cls == cls]
-        det_corners = [r[1].bev_corners() for r in cls_dets]
-        gt_corners = [r[1].bev_corners() for r in cls_gts]
+        # keyed by id(): cls_dets and cls_gts keep every box alive for the call
+        corners = {id(r[1]): r[1].bev_corners() for r in (*cls_dets, *cls_gts)}
         areas: dict[tuple[int, int], float] = {}
 
-        def bev_area(i: int, j: int) -> float:
-            area = areas.get((i, j))
+        def bev_area(a: Box3D, b: Box3D) -> float:
+            key = (id(a), id(b))
+            area = areas.get(key)
             if area is None:
-                area = areas[(i, j)] = convex_intersection_area(det_corners[i], gt_corners[j])
+                area = areas[key] = convex_intersection_area(corners[id(a)], corners[id(b)])
             return area
 
-        iou_of = {
-            "2d": lambda i, j: iou_2d(cls_dets[i][2], cls_gts[j][2]),
-            "bev": lambda i, j: _bev_iou(bev_area(i, j), cls_dets[i][1], cls_gts[j][1]),
-            "3d": lambda i, j: _volume_iou(bev_area(i, j), cls_dets[i][1], cls_gts[j][1]),
+        iou_fns = {
+            "2d": iou_2d,
+            "bev": lambda a, b: _bev_iou(bev_area(a, b), a, b),
+            "3d": lambda a, b: _volume_iou(bev_area(a, b), a, b),
         }
         for (lo, hi), lbl in zip(cfg.bins, labels):
-            d_idx = [i for i, r in enumerate(cls_dets) if lo <= r[1].z < hi]
-            g_idx = [j for j, r in enumerate(cls_gts) if lo <= r[1].z < hi]
+            d = [r for r in cls_dets if lo <= r[1].z < hi]
+            g = [r for r in cls_gts if lo <= r[1].z < hi]
             for kind in KINDS:
-                box, iou = (2 if kind == "2d" else 1), iou_of[kind]
-                cells[(cls, kind, lbl)] = _ap_40(
-                    [cls_dets[i][box].score for i in d_idx],
-                    [cls_dets[i][0] for i in d_idx], [cls_gts[j][0] for j in g_idx],
-                    lambda a, b: iou(d_idx[a], g_idx[b]), threshold,
-                )
+                pick = 2 if kind == "2d" else 1
+                cells[(cls, kind, lbl)] = ap_40(
+                    [r[pick] for r in d], [r[pick] for r in g], iou_fns[kind], threshold,
+                    [r[0] for r in d], [r[0] for r in g])
     return EvalReport(cells=cells, classes=classes, bin_labels=labels)
 
 

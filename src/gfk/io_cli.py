@@ -44,7 +44,7 @@ from .camera import (
 )
 # read_predictions is not called here, but perfbench's tracer wraps io_cli.read_predictions.
 from .codec import K_DEFAULT, encode, decode, predictions_to_jsonl, read_predictions
-from .errors import ConfigError, EmptyDataset, FullyOutOfImage, GfkError, ParseError
+from .errors import ConfigError, EmptyDataset, FullyOutOfImage, GfkError, NonFiniteBox, ParseError
 from .eval import EvalConfig, EvalReport, bev_svg, evaluate, read_boxes
 from .loss import LossWeights, target_row
 from .records import FieldError, build, convert, get, parse_json, read_jsonl
@@ -257,7 +257,7 @@ def _field_names(cls, *skip: str) -> tuple[str, ...]:
 SECTIONS = {
     "dataset": ("dir", "frames"),
     "camera": _field_names(CameraModel),
-    "noise": _field_names(NoiseConfig),
+    "noise": _field_names(NoiseConfig, "enable_clipping"),  # PGM slices are integer
     "scene": _field_names(SceneConfig, "camera"),
     "codec": ("k",),
     "train": ("hidden_sizes", "epochs", "batch_size", "learning_rate",
@@ -380,9 +380,6 @@ def _run_config(payload, base: Path, seed_override: int | None,
 
 def cmd_simulate(cfg: RunConfig) -> dict:
     """Synthesize the dataset described by cfg; returns a small summary."""
-    if not cfg.noise.enable_clipping:
-        raise ConfigError("noise.enable_clipping: must be true for on-disk datasets "
-                          "(PGM slices are integer)")
     # Zero frames is legal: the manifest is still written, with empty splits.
     total = sum(cfg.frames.values())
     layout = DatasetLayout(cfg.dataset_dir)
@@ -457,7 +454,10 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
                 logger.warning("%s: no stats for class %r, skipping", fid, obj.box.cls)
                 continue
             x.append(extract_features(slices, obj.box2d) * feature_mask)
-            t.append(target_row(encode(obj.box, obj.box2d, st, k, cam)))
+            try:
+                t.append(target_row(encode(obj.box, obj.box2d, st, k, cam)))
+            except NonFiniteBox as e:
+                raise NonFiniteBox(f"{layout.labels_path(fid)}: {e}") from None
     return np.array(x).reshape(-1, FEATURE_SIZE), np.array(t).reshape(-1, 7)
 
 

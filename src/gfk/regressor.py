@@ -38,8 +38,6 @@ logger = logging.getLogger(__name__)
 FEATURE_SIZE = 24
 INTENSITY_FEATURES = slice(0, 15)
 RATIO_FEATURES = slice(15, 18)
-GEOMETRY_FEATURES = slice(18, 22)
-CLASS_FEATURES = slice(22, 24)
 CLASS_ORDER = ("Car", "Pedestrian")
 
 # Sensor intensity corresponding to feature value 1.0.
@@ -288,7 +286,7 @@ def predict(params: MlpParams, slices: np.ndarray, boxes2d: Sequence[Box2D],
             logger.warning("no class stats for %r, skipping box", p.cls)
             continue
         x = extract_features(slices, p) * feature_mask
-        q = FrustumCode.from_array(_forward_batch(params, x[None])[-1][0])
+        q = FrustumCode(*_forward_batch(params, x[None])[-1][0].tolist())
         try:
             box = decode(q, p, st, k, cam)
         except GfkError as e:

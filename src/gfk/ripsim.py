@@ -61,22 +61,6 @@ class GateConfig:
             raise ValueError(f"negative attenuation {self.attenuation_gamma}")
 
     @property
-    def support(self) -> tuple[float, float]:
-        """Range interval (meters) outside of which the profile is zero."""
-        half_c = SPEED_OF_LIGHT / 2.0
-        return (
-            (self.delay - self.pulse_duration) * half_c,
-            (self.delay + self.gate_duration) * half_c,
-        )
-
-    @property
-    def plateau_range(self) -> tuple[float, float]:
-        """Range interval (meters) where the profile sits at its plateau."""
-        half_c = SPEED_OF_LIGHT / 2.0
-        a = self.delay + self.gate_duration - self.pulse_duration
-        return (min(self.delay, a) * half_c, max(self.delay, a) * half_c)
-
-    @property
     def plateau_value(self) -> float:
         return self.gate_amplitude * self.pulse_amplitude * min(self.gate_duration, self.pulse_duration)
 
@@ -158,8 +142,6 @@ class NoiseConfig:
             raise ValueError(f"full_scale must be in [1, 65535] (16-bit PGM), "
                              f"got {self.full_scale}")
 
-
-NOISELESS = NoiseConfig(read_noise_sigma=0.0, photon_scale=math.inf, enable_clipping=False)
 
 # The largest rate numpy's Poisson sampler accepts; above it rng.poisson
 # raises ValueError("lam value too large").

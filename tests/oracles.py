@@ -11,7 +11,10 @@ whole_frame_features, full_frame_render and per_kind_evaluate are the
 exceptions: they are the box feature extractor, the frame renderer and the
 report scorer as first written, kept to pin that cropping first, rendering
 from an object-index map and scoring from shared BEV intersections change
-no bit. Keep these dumb and obviously correct.
+no bit. NOISELESS (no shot or read noise, no clipping), support and
+plateau_range (where a gate's profile is non-zero and where it is flat)
+are test instruments the library itself never needs. Keep these dumb and
+obviously correct.
 """
 
 from __future__ import annotations
@@ -21,9 +24,25 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from gfk import SPEED_OF_LIGHT, rip_value
+from gfk import SPEED_OF_LIGHT, NoiseConfig, rip_value
 from gfk.camera import CamPoint, project
 from gfk.eval import KINDS, ApResult, EvalReport, N_RECALL, bin_label, iou_2d, iou_3d, iou_bev
+
+
+NOISELESS = NoiseConfig(read_noise_sigma=0.0, photon_scale=math.inf, enable_clipping=False)
+
+
+def support(gate) -> tuple[float, float]:
+    """Range interval (meters) outside of which the gate's profile is zero."""
+    half_c = SPEED_OF_LIGHT / 2.0
+    return (gate.delay - gate.pulse_duration) * half_c, (gate.delay + gate.gate_duration) * half_c
+
+
+def plateau_range(gate) -> tuple[float, float]:
+    """Range interval (meters) where the gate's profile sits at its plateau."""
+    half_c = SPEED_OF_LIGHT / 2.0
+    a = gate.delay + gate.gate_duration - gate.pulse_duration
+    return min(gate.delay, a) * half_c, max(gate.delay, a) * half_c
 
 
 def quad_rip(gate, r: float) -> float:

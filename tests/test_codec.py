@@ -177,9 +177,9 @@ def test_decode_uses_predicted_height_for_anchor():
 
 def test_code_array_roundtrip():
     q = FrustumCode(0.1, -0.2, 0.3, 0.01, -0.02, 0.03, 0.6, 0.8)
-    arr = q.as_array()
+    arr = np.array(q)
     assert arr.shape == (8,)
-    assert FrustumCode.from_array(arr) == q
+    assert FrustumCode(*arr) == q
 
 
 def test_predictions_jsonl_roundtrip(tmp_path):

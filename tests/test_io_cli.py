@@ -113,8 +113,7 @@ ALL_DEFAULTS = {
                "pulse_duration": g.pulse_duration, "gate_amplitude": g.gate_amplitude,
                "pulse_amplitude": g.pulse_amplitude, "attenuation_gamma": g.attenuation_gamma,
                "inverse_square": g.inverse_square} for g in default_gates()],
-    "noise": {"read_noise_sigma": 2.0, "photon_scale": 20.0, "enable_clipping": True,
-              "full_scale": 1023},
+    "noise": {"read_noise_sigma": 2.0, "photon_scale": 20.0, "full_scale": 1023},
     "scene": {"classes": ["Car", "Pedestrian"], "min_objects": 1, "max_objects": 4,
               "z_range": [5.0, 85.0], "ground_y": 1.65, "ground_y_jitter": 0.0,
               "albedo_range": [0.2, 0.9], "x_margin": 0.85, "background_albedo": 0.0,
@@ -536,6 +535,26 @@ def test_labels_with_an_overflowing_box2d_end_cleanly(tmp_path, capsys):
         assert rc in (0, 1), argv
         if rc == 1:
             assert capsys.readouterr().err.splitlines()[-1].startswith("gfk-error:"), argv
+
+
+@pytest.mark.parametrize("field", ["h", "x"])
+def test_train_blames_an_overflowing_label_on_its_file(tmp_path, capsys, field):
+    # the label's code overflows: train must not report it as a diverged loss
+    p = write_config(tmp_path, {"train": {"epochs": 1}})
+    cfg = load_run_config(p)
+    cmd_simulate(cfg)
+    layout = DatasetLayout(cfg.dataset_dir)
+    labels = layout.labels_path(load_manifest(layout).splits["train"][0])
+    bad = {"class": "Car", "x": 0.5, "y": 1.65, "z": 20.0, "h": 1.5, "w": 1.8, "l": 4.3,
+           "yaw": 0.0, "box2d": [80.0, 45.0, 20.0, 10.0], "albedo": 0.5, field: 1e308}
+    with labels.open("a") as f:
+        f.write(json.dumps(bad) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(p)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("gfk-error: NonFiniteBox:") and str(labels) in last
+    errors = cmd_codec_check(cfg)["record_errors"]
+    assert [e["error"] for e in errors] == ["NonFiniteBox"]
 
 
 def test_predict_drops_boxes_that_decode_to_non_finite_values(tmp_path, caplog):

@@ -49,7 +49,7 @@ def make_target(**kw):
 
 def loss_of_one(q: FrustumCode, t: np.ndarray, w: LossWeights = LossWeights()):
     """_loss_batch on a batch of one: the per-term floats and the (8,) gradient."""
-    parts, grad = _loss_batch(q.as_array()[None], t[None], w)
+    parts, grad = _loss_batch(np.array(q)[None], t[None], w)
     return {key: float(val[0]) for key, val in parts.items()}, grad[0]
 
 
@@ -107,10 +107,10 @@ def test_gradient_matches_finite_differences(pred, tvals, theta, alpha, beta, de
     for i in range(6):
         if abs(abs(p[i] - t[i]) - delta) < 1e-3:
             p[i] += 5e-3
-    _, grad = loss_of_one(FrustumCode.from_array(p), t, w)
+    _, grad = loss_of_one(FrustumCode(*p), t, w)
 
     def f(x):
-        return loss_of_one(FrustumCode.from_array(x), t, w)[0]["total"]
+        return loss_of_one(FrustumCode(*x), t, w)[0]["total"]
 
     fd = fd_gradient(f, p, step=1e-6)
     assert np.allclose(grad, fd, rtol=1e-4, atol=1e-6)

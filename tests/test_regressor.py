@@ -26,9 +26,7 @@ from gfk import (
 from gfk.codec import encode
 from gfk.loss import LossWeights, _loss_batch, target_row
 from gfk.regressor import (
-    CLASS_FEATURES,
     FEATURE_SIZE,
-    GEOMETRY_FEATURES,
     INTENSITY_FEATURES,
     RATIO_FEATURES,
     MlpParams,
@@ -83,11 +81,11 @@ def test_feature_vector_layout_constant_crop():
     assert x[RATIO_FEATURES].sum() == pytest.approx(1.0)
     assert x[15:18] == pytest.approx(np.array([100, 300, 600]) / 1000.0)
     # geometry block normalized by image size
-    assert x[GEOMETRY_FEATURES] == pytest.approx([0.5, 0.5, 0.5, 0.5])
+    assert x[18:22] == pytest.approx([0.5, 0.5, 0.5, 0.5])
     # one-hot class
-    assert list(x[CLASS_FEATURES]) == [1.0, 0.0]
+    assert list(x[22:24]) == [1.0, 0.0]
     ped = extract_features(frame, centered_box(cls="Pedestrian"))
-    assert list(ped[CLASS_FEATURES]) == [0.0, 1.0]
+    assert list(ped[22:24]) == [0.0, 1.0]
 
 
 def test_feature_vector_band_means_capture_gradient():

@@ -16,9 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from gfk import (DEFAULT_CAMERA, NOISELESS, CameraModel, GateConfig, NoiseConfig, default_gates,
+from gfk import (DEFAULT_CAMERA, CameraModel, GateConfig, NoiseConfig, default_gates,
                  render_frame)
 from gfk.scene import Box3D, SceneDescription, SceneObject
+
+from oracles import NOISELESS
 
 NS = 1e-9
 GOLDEN = Path(__file__).parent / "data" / "render_golden.json"
