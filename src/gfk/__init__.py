@@ -4,10 +4,8 @@ detections to 3D boxes with a small learned codec regressor."""
 from types import ModuleType as _ModuleType
 
 from .camera import (
-    CamPoint,
     CameraModel,
     DEFAULT_CAMERA,
-    PixelPoint,
     calibration_to_json,
     load_calibration,
     wrap_to_pi,

@@ -56,60 +56,36 @@ DEFAULT_CAMERA = CameraModel(
 )
 
 
-@dataclass(frozen=True)
-class PixelPoint:
-    """Continuous image coordinates in pixels."""
-
-    u: float
-    v: float
-
-
-@dataclass(frozen=True)
-class CamPoint:
-    """A point in the camera frame, meters."""
-
-    x: float
-    y: float
-    z: float
-
-
-def project(p: CamPoint, cam: CameraModel) -> PixelPoint:
-    """Project a camera-frame point to continuous pixel coordinates.
+def project(x: float, y: float, z: float, cam: CameraModel) -> tuple[float, float]:
+    """Project a camera-frame point to continuous pixel coordinates (u, v).
 
     The result may lie outside the sensor rectangle; callers clip when they
     care. Raises NonPositiveDepth for z <= 0.
     """
-    if p.z <= 0:
-        raise NonPositiveDepth(f"cannot project point at z={p.z}")
-    return PixelPoint(
-        u=cam.f_u * p.x / p.z + cam.c_u,
-        v=cam.f_v * p.y / p.z + cam.c_v,
-    )
+    if z <= 0:
+        raise NonPositiveDepth(f"cannot project point at z={z}")
+    return cam.f_u * x / z + cam.c_u, cam.f_v * y / z + cam.c_v
 
 
-def backproject(px: PixelPoint, z: float, cam: CameraModel) -> CamPoint:
-    """Invert the projection at a known depth z > 0."""
+def backproject(u: float, v: float, z: float, cam: CameraModel) -> tuple[float, float, float]:
+    """Invert the projection at a known depth z > 0, giving (x, y, z)."""
     if z <= 0:
         raise NonPositiveDepth(f"cannot backproject to z={z}")
-    return CamPoint(
-        x=(px.u - cam.c_u) * z / cam.f_u,
-        y=(px.v - cam.c_v) * z / cam.f_v,
-        z=z,
-    )
+    return (u - cam.c_u) * z / cam.f_u, (v - cam.c_v) * z / cam.f_v, z
 
 
-def observation_angle_to_yaw(theta_obs: float, p: CamPoint) -> float:
-    """Convert a viewpoint-relative observation angle to a global yaw.
+def observation_angle_to_yaw(theta_obs: float, x: float, z: float) -> float:
+    """Convert a viewpoint-relative observation angle at (x, z) to a global yaw.
 
     The observation angle is what a detector can actually see in a crop; the
     viewing-ray bearing atan2(x, z) must be added back to obtain yaw.
     """
-    return wrap_to_pi(theta_obs + math.atan2(p.x, p.z))
+    return wrap_to_pi(theta_obs + math.atan2(x, z))
 
 
-def yaw_to_observation_angle(yaw: float, p: CamPoint) -> float:
+def yaw_to_observation_angle(yaw: float, x: float, z: float) -> float:
     """Inverse of observation_angle_to_yaw at the same point."""
-    return wrap_to_pi(yaw - math.atan2(p.x, p.z))
+    return wrap_to_pi(yaw - math.atan2(x, z))
 
 
 def calibration_to_json(cam: CameraModel) -> str:

@@ -20,15 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .camera import (
-    CameraModel,
-    CamPoint,
-    PixelPoint,
-    backproject,
-    observation_angle_to_yaw,
-    project,
-    yaw_to_observation_angle,
-)
+from .camera import (CameraModel, backproject, observation_angle_to_yaw, project,
+                     yaw_to_observation_angle)
 from .errors import (DegenerateBox, InvalidStats, NonFiniteBox, NonPositiveDepth,
                      NonPositiveDimension, ParseError)
 from .records import FieldError, get, read_jsonl
@@ -101,13 +94,13 @@ def encode(b: Box3D, p: Box2D, stats: ObjectClass, k: float, cam: CameraModel) -
     """Regression targets of a 3D box relative to its 2D box; NonFiniteBox on overflow."""
     if b.cls != p.cls:
         raise ValueError(f"class mismatch: 3D box is {b.cls}, 2D box is {p.cls}")
-    px = project(b.center, cam)
+    u, v = project(b.x, b.y, b.z, cam)
     seg = frustum_segment(p, stats, k, cam, h_ref=b.h)
     mu_h, mu_w, mu_l = stats.dim_mean
-    theta = yaw_to_observation_angle(b.yaw, b.center)
+    theta = yaw_to_observation_angle(b.yaw, b.x, b.z)
     q = FrustumCode(
-        du=(px.u - p.u) / p.w_u,
-        dv=(px.v - p.v) / p.h_v,
+        du=(u - p.u) / p.w_u,
+        dv=(v - p.v) / p.h_v,
         dz=(b.z - seg.z_anchor) / seg.d,
         dh=(b.h - mu_h) / mu_h,
         dw=(b.w - mu_w) / mu_w,
@@ -135,14 +128,13 @@ def decode(q: FrustumCode, p: Box2D, stats: ObjectClass, k: float, cam: CameraMo
     z = q.dz * seg.d + seg.z_anchor
     if z <= Z_FLOOR:
         raise NonPositiveDepth(f"decoded depth {z} at or below {Z_FLOOR} m")
-    center_px = PixelPoint(u=p.u + q.du * p.w_u, v=p.v + q.dv * p.h_v)
-    pt = backproject(center_px, z, cam)
+    x, y, z = backproject(p.u + q.du * p.w_u, p.v + q.dv * p.h_v, z, cam)
     theta = math.atan2(q.sin_t, q.cos_t)  # scale-invariant, so no explicit normalization
-    yaw = observation_angle_to_yaw(theta, pt)
-    if not all(map(math.isfinite, (pt.x, pt.y, pt.z, h, w, length))):  # overflow
-        raise NonFiniteBox(f"decoded box is not finite: x={pt.x}, y={pt.y}, z={pt.z}, "
+    yaw = observation_angle_to_yaw(theta, x, z)
+    if not all(map(math.isfinite, (x, y, z, h, w, length))):  # overflow
+        raise NonFiniteBox(f"decoded box is not finite: x={x}, y={y}, z={z}, "
                            f"h={h}, w={w}, l={length}")
-    return Box3D(cls=p.cls, x=pt.x, y=pt.y, z=pt.z, h=h, w=w, l=length, yaw=yaw, score=p.score)
+    return Box3D(cls=p.cls, x=x, y=y, z=z, h=h, w=w, l=length, yaw=yaw, score=p.score)
 
 
 # ---------------------------------------------------------------------------

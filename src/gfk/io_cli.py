@@ -44,7 +44,7 @@ from .camera import (
 )
 # read_predictions is not called here, but perfbench's tracer wraps io_cli.read_predictions.
 from .codec import K_DEFAULT, encode, decode, predictions_to_jsonl, read_predictions
-from .errors import ConfigError, EmptyDataset, FullyOutOfImage, GfkError, NonFiniteBox, ParseError
+from .errors import ConfigError, EmptyDataset, FullyOutOfImage, GfkError, ParseError
 from .eval import EvalConfig, EvalReport, bev_svg, evaluate, read_boxes
 from .loss import LossWeights, target_row
 from .records import FieldError, build, convert, get, parse_json, read_jsonl
@@ -207,7 +207,6 @@ class RunConfig:
     out_dir: Path
     dataset_dir: Path
     frames: dict[str, int]
-    camera: CameraModel
     gates: tuple[GateConfig, ...]
     noise: NoiseConfig
     scene: SceneConfig
@@ -361,7 +360,6 @@ def _run_config(payload, base: Path, seed_override: int | None,
         out_dir=out_dir,
         dataset_dir=dataset_dir,
         frames=frames,
-        camera=camera,
         gates=gates,
         noise=noise,
         scene=scene_cfg,
@@ -398,11 +396,11 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         if scn.placement_warning:
             logger.warning("%s: placement retries exhausted, dropped at least one object", fid)
         render_seed = int(_substream(cfg.seed, index, 1).generate_state(1)[0])
-        frame = render_frame(scn, cfg.gates, cfg.camera, cfg.noise, seed=render_seed)
+        frame = render_frame(scn, cfg.gates, cfg.scene.camera, cfg.noise, seed=render_seed)
         labeled = []
         for obj in scn.objects:
             try:
-                box2d = oracle_box2d(obj.box, cfg.camera)
+                box2d = oracle_box2d(obj.box, cfg.scene.camera)
             except FullyOutOfImage:
                 logger.warning("%s: object projects outside the image, not labeling", fid)
                 continue
@@ -417,7 +415,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     with ThreadPoolExecutor(max_workers=gfk_threads()) as pool:
         warnings = list(pool.map(make_frame, range(total)))
 
-    atomic_write_text(layout.calibration_path, calibration_to_json(cfg.camera))
+    atomic_write_text(layout.calibration_path, calibration_to_json(cfg.scene.camera))
     atomic_write_text(layout.gates_path, gates_to_json(cfg.gates))
     classes = {c.name: c for c in cfg.scene.classes}
     write_manifest(layout, cfg.seed, splits, classes)
@@ -456,8 +454,8 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
             x.append(extract_features(slices, obj.box2d) * feature_mask)
             try:
                 t.append(target_row(encode(obj.box, obj.box2d, st, k, cam)))
-            except NonFiniteBox as e:
-                raise NonFiniteBox(f"{layout.labels_path(fid)}: {e}") from None
+            except GfkError as e:
+                raise type(e)(f"{layout.labels_path(fid)}: {e}") from None
     return np.array(x).reshape(-1, FEATURE_SIZE), np.array(t).reshape(-1, 7)
 
 

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .camera import CameraModel, CamPoint, project
+from .camera import CameraModel, project
 from .errors import NegativeRange
 from .scene import SceneDescription
 
@@ -233,12 +233,12 @@ def render_frame(scene: SceneDescription, gates, cam: CameraModel, noise: NoiseC
     for obj in scene.objects:
         box = obj.box
         half_w = (box.l * abs(math.cos(box.yaw)) + box.w * abs(math.sin(box.yaw))) / 2.0
-        lo = project(CamPoint(box.x - half_w, box.y - box.h, box.z), cam)  # raises for z <= 0
-        hi = project(CamPoint(box.x + half_w, box.y, box.z), cam)
-        c0 = max(0, math.ceil(lo.u))
-        c1 = min(w_img - 1, math.floor(hi.u))
-        r0 = max(0, math.ceil(lo.v))
-        r1 = min(h_img - 1, math.floor(hi.v))
+        u_lo, v_lo = project(box.x - half_w, box.y - box.h, box.z, cam)  # raises for z <= 0
+        u_hi, v_hi = project(box.x + half_w, box.y, box.z, cam)
+        c0 = max(0, math.ceil(u_lo))
+        c1 = min(w_img - 1, math.floor(u_hi))
+        r0 = max(0, math.ceil(v_lo))
+        r1 = min(h_img - 1, math.floor(v_hi))
         if c0 > c1 or r0 > r1:
             continue
         region = (slice(r0, r1 + 1), slice(c0, c1 + 1))

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .camera import DEFAULT_CAMERA, CameraModel, CamPoint, project, wrap_to_pi
+from .camera import DEFAULT_CAMERA, CameraModel, project, wrap_to_pi
 from .errors import BehindCamera, FullyOutOfImage, InvalidAlbedo, ParseError
 from .geometry import convex_intersection_area, rect_corners
 from .records import FieldError, build, get, read_jsonl
@@ -81,10 +81,6 @@ class Box3D:
     def __post_init__(self) -> None:
         if self.h <= 0 or self.w <= 0 or self.l <= 0:
             raise ValueError(f"nonpositive dimension (h={self.h}, w={self.w}, l={self.l})")
-
-    @property
-    def center(self) -> CamPoint:
-        return CamPoint(self.x, self.y, self.z)
 
     def bev_corners(self) -> np.ndarray:
         """Footprint corners in the x-z plane, CCW, shape (4, 2)."""
@@ -154,7 +150,7 @@ class SceneConfig:
     """Knobs for sample_scene; placement happens inside the view frustum."""
 
     camera: CameraModel = DEFAULT_CAMERA
-    classes: tuple[ObjectClass, ...] = (CAR, PEDESTRIAN)
+    classes: tuple[ObjectClass, ...] = tuple(DEFAULT_CLASSES.values())
     min_objects: int = 1
     max_objects: int = 4
     z_range: tuple[float, float] = (5.0, 85.0)
@@ -253,18 +249,15 @@ def oracle_box2d(b: Box3D, cam: CameraModel) -> Box2D:
     """
     pts = b.corners_3d()
     z = pts[:, 2]
-    if np.all(z <= Z_CLIP):
+    front = z > Z_CLIP
+    if not front.any():
         raise BehindCamera(f"box at z={b.z} entirely behind the camera")
-    keep = [pts[i] for i in range(8) if z[i] > Z_CLIP]
+    keep = pts[front].tolist()
     for i, j in _BOX_EDGES:
-        if (z[i] > Z_CLIP) != (z[j] > Z_CLIP):
+        if front[i] != front[j]:
             t = (Z_CLIP - z[i]) / (z[j] - z[i])
-            keep.append(pts[i] + t * (pts[j] - pts[i]))
-    us, vs = [], []
-    for p in keep:
-        px = project(CamPoint(*p), cam)
-        us.append(px.u)
-        vs.append(px.v)
+            keep.append((pts[i] + t * (pts[j] - pts[i])).tolist())
+    us, vs = zip(*(project(*p, cam) for p in keep))
     u_min = max(min(us), 0.0)
     u_max = min(max(us), cam.width - 1.0)
     v_min = max(min(vs), 0.0)

@@ -7,14 +7,15 @@ IoU, threshold enumeration for average precision, and central differences
 for gradients. ratio_table and range_from_ratios look a range up from three
 slice intensities by nearest normalized ratio vector; the library has no
 such lookup, and the tests use it to check that the gates identify range.
-whole_frame_features, full_frame_render and per_kind_evaluate are the
-exceptions: they are the box feature extractor, the frame renderer and the
-report scorer as first written, kept to pin that cropping first, rendering
-from an object-index map and scoring from shared BEV intersections change
-no bit. NOISELESS (no shot or read noise, no clipping), support and
-plateau_range (where a gate's profile is non-zero and where it is flat)
-are test instruments the library itself never needs. Keep these dumb and
-obviously correct.
+whole_frame_features, full_frame_render, per_kind_evaluate and
+oracle_box2d_per_point are the exceptions: they are the box feature
+extractor, the frame renderer, the report scorer and the 2D box labeler as
+first written, kept to pin that cropping first, rendering from an
+object-index map, scoring from shared BEV intersections and projecting
+plain floats change no bit. NOISELESS (no shot or read noise, no
+clipping), support and plateau_range (where a gate's profile is non-zero
+and where it is flat) are test instruments the library itself never
+needs. Keep these dumb and obviously correct.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from gfk import SPEED_OF_LIGHT, NoiseConfig, rip_value
-from gfk.camera import CamPoint, project
+from gfk import (SPEED_OF_LIGHT, BehindCamera, Box2D, FullyOutOfImage, NoiseConfig,
+                 rip_value)
+from gfk.camera import project
 from gfk.eval import KINDS, ApResult, EvalReport, N_RECALL, bin_label, iou_2d, iou_3d, iou_bev
+from gfk.scene import Z_CLIP
 
 
 NOISELESS = NoiseConfig(read_noise_sigma=0.0, photon_scale=math.inf, enable_clipping=False)
@@ -211,6 +214,31 @@ def whole_frame_features(slices: np.ndarray, p) -> np.ndarray:
     return x
 
 
+def oracle_box2d_per_point(b, cam) -> Box2D:
+    """The image box of oracle_box2d, one point at a time in plain floats: the
+    corners in front of z = Z_CLIP, then the Z_CLIP cut of every box edge
+    with one end on each side, each projected by the pinhole formula."""
+    corners = b.corners_3d().tolist()
+    front = [c[2] > Z_CLIP for c in corners]
+    if not any(front):
+        raise BehindCamera(f"box at z={b.z} entirely behind the camera")
+    points = [c for c, f in zip(corners, front) if f]
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                 (0, 4), (1, 5), (2, 6), (3, 7)):
+        if front[i] != front[j]:
+            a, c = corners[i], corners[j]
+            t = (Z_CLIP - a[2]) / (c[2] - a[2])
+            points.append([a[k] + t * (c[k] - a[k]) for k in range(3)])
+    us = [cam.f_u * x / z + cam.c_u for x, _, z in points]
+    vs = [cam.f_v * y / z + cam.c_v for _, y, z in points]
+    u_min, u_max = max(min(us), 0.0), min(max(us), cam.width - 1.0)
+    v_min, v_max = max(min(vs), 0.0), min(max(vs), cam.height - 1.0)
+    if u_max <= u_min or v_max <= v_min:
+        raise FullyOutOfImage(f"box at ({b.x:.1f}, {b.z:.1f}) projects outside the image")
+    return Box2D(b.cls, (u_min + u_max) / 2.0, (v_min + v_max) / 2.0, u_max - u_min,
+                 v_max - v_min, b.score)
+
+
 def full_frame_render(scene, gates, cam, noise, seed: int) -> np.ndarray:
     """The (3, H, W) slices of a scene rendered through full-frame float64
     depth and albedo images, the profile evaluated at every pixel and a
@@ -220,10 +248,10 @@ def full_frame_render(scene, gates, cam, noise, seed: int) -> np.ndarray:
     for obj in scene.objects:
         box = obj.box
         half_w = (box.l * abs(math.cos(box.yaw)) + box.w * abs(math.sin(box.yaw))) / 2.0
-        lo = project(CamPoint(box.x - half_w, box.y - box.h, box.z), cam)
-        hi = project(CamPoint(box.x + half_w, box.y, box.z), cam)
-        c0, c1 = max(0, math.ceil(lo.u)), min(cam.width - 1, math.floor(hi.u))
-        r0, r1 = max(0, math.ceil(lo.v)), min(cam.height - 1, math.floor(hi.v))
+        u_lo, v_lo = project(box.x - half_w, box.y - box.h, box.z, cam)
+        u_hi, v_hi = project(box.x + half_w, box.y, box.z, cam)
+        c0, c1 = max(0, math.ceil(u_lo)), min(cam.width - 1, math.floor(u_hi))
+        r0, r1 = max(0, math.ceil(v_lo)), min(cam.height - 1, math.floor(v_hi))
         if c0 > c1 or r0 > r1:
             continue
         region = (slice(r0, r1 + 1), slice(c0, c1 + 1))

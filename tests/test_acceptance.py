@@ -329,6 +329,7 @@ def _depth_errors_30_80(cfg) -> np.ndarray:
     return np.asarray(errs)
 
 
+@pytest.mark.slow
 def test_gated_cues_improve_depth_and_ap_decays_with_range(tmp_path):
     t0 = time.perf_counter()
     frames = {"train": 2000, "val": 0, "test": 400}

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from gfk import CameraModel, DEFAULT_CAMERA, NonPositiveDepth, ParseError, wrap_to_pi
 from gfk.camera import (
-    CamPoint,
     backproject,
     calibration_to_json,
     load_calibration,
@@ -50,35 +49,35 @@ def test_camera_validation():
 
 def test_project_fixture():
     cam = DEFAULT_CAMERA
-    p = project(CamPoint(0.0, 0.0, 10.0), cam)
-    assert (p.u, p.v) == (640.0, 360.0)
-    p = project(CamPoint(1.0, 0.5, 10.0), cam)
-    assert p.u == pytest.approx(640.0 + 230.0)
-    assert p.v == pytest.approx(360.0 + 115.0)
+    assert project(0.0, 0.0, 10.0, cam) == (640.0, 360.0)
+    u, v = project(1.0, 0.5, 10.0, cam)
+    assert u == pytest.approx(640.0 + 230.0)
+    assert v == pytest.approx(360.0 + 115.0)
 
 
 def test_project_rejects_nonpositive_depth():
     with pytest.raises(NonPositiveDepth):
-        project(CamPoint(0.0, 0.0, 0.0), DEFAULT_CAMERA)
+        project(0.0, 0.0, 0.0, DEFAULT_CAMERA)
     with pytest.raises(NonPositiveDepth):
-        project(CamPoint(0.0, 0.0, -3.0), DEFAULT_CAMERA)
+        project(0.0, 0.0, -3.0, DEFAULT_CAMERA)
+    with pytest.raises(NonPositiveDepth):
+        backproject(640.0, 360.0, 0.0, DEFAULT_CAMERA)
 
 
 @given(st.floats(-30, 30), st.floats(-10, 10), st.floats(0.1, 200))
 def test_project_backproject_roundtrip(x, y, z):
     cam = DEFAULT_CAMERA
-    px = project(CamPoint(x, y, z), cam)
-    q = backproject(px, z, cam)
-    assert q.x == pytest.approx(x, abs=1e-9)
-    assert q.y == pytest.approx(y, abs=1e-9)
-    assert q.z == z
+    u, v = project(x, y, z, cam)
+    x_back, y_back, z_back = backproject(u, v, z, cam)
+    assert x_back == pytest.approx(x, abs=1e-9)
+    assert y_back == pytest.approx(y, abs=1e-9)
+    assert z_back == z
 
 
 @given(st.floats(-math.pi, math.pi), st.floats(-20, 20), st.floats(1, 100))
 def test_observation_angle_roundtrip(yaw, x, z):
-    p = CamPoint(x, 0.5, z)
-    theta = yaw_to_observation_angle(yaw, p)
-    back = observation_angle_to_yaw(theta, p)
+    theta = yaw_to_observation_angle(yaw, x, z)
+    back = observation_angle_to_yaw(theta, x, z)
     assert math.isclose(math.cos(back), math.cos(yaw), abs_tol=1e-9)
     assert math.isclose(math.sin(back), math.sin(yaw), abs_tol=1e-9)
 
@@ -86,8 +85,8 @@ def test_observation_angle_roundtrip(yaw, x, z):
 def test_observation_angle_depends_on_bearing():
     # same yaw, different bearing: the observed angle must differ by the bearing change
     yaw = 0.3
-    t1 = yaw_to_observation_angle(yaw, CamPoint(0.0, 0.0, 20.0))
-    t2 = yaw_to_observation_angle(yaw, CamPoint(10.0, 0.0, 20.0))
+    t1 = yaw_to_observation_angle(yaw, 0.0, 20.0)
+    t2 = yaw_to_observation_angle(yaw, 10.0, 20.0)
     expected = math.atan2(10.0, 20.0)
     assert wrap_to_pi(t1 - t2) == pytest.approx(expected)
 

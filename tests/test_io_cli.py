@@ -76,7 +76,7 @@ def test_config_defaults_and_overrides(tmp_path):
     assert cfg.seed == 5
     assert cfg.out_dir == tmp_path / "out"
     assert cfg.dataset_dir == tmp_path / "out" / "dataset"
-    assert cfg.camera.width == 160
+    assert cfg.scene.camera.width == 160
     cfg2 = load_run_config(p, seed_override=99, out_override=str(tmp_path / "elsewhere"))
     assert cfg2.seed == 99
     assert cfg2.out_dir == tmp_path / "elsewhere"
@@ -290,7 +290,7 @@ def test_simulate_layout_and_manifest(tmp_path):
         arr = layout.load_slices(fid)
         assert arr.shape == (3, 90, 160)
         assert layout.labels_path(fid).exists()
-    assert load_calibration(layout.calibration_path) == cfg.camera
+    assert load_calibration(layout.calibration_path) == cfg.scene.camera
     gates = json.loads(layout.gates_path.read_text())
     assert tuple(GateConfig(**rec) for rec in gates) == cfg.gates
 
@@ -537,24 +537,31 @@ def test_labels_with_an_overflowing_box2d_end_cleanly(tmp_path, capsys):
             assert capsys.readouterr().err.splitlines()[-1].startswith("gfk-error:"), argv
 
 
-@pytest.mark.parametrize("field", ["h", "x"])
-def test_train_blames_an_overflowing_label_on_its_file(tmp_path, capsys, field):
-    # the label's code overflows: train must not report it as a diverged loss
+@pytest.mark.parametrize("field, value, error", [
+    pytest.param("h", 1e308, "NonFiniteBox", id="h"),
+    pytest.param("x", 1e308, "NonFiniteBox", id="x"),
+    pytest.param("z", -5.0, "NonPositiveDepth", id="z"),
+    pytest.param("box2d", [80.0, 45.0, 20.0, 1e-4], "DegenerateBox", id="box2d"),
+])
+def test_train_blames_an_overflowing_label_on_its_file(tmp_path, capsys, field, value, error):
+    # the label cannot be encoded (its code overflows, it sits behind the
+    # camera, its 2D box is too flat): train names the labels file, and an
+    # overflow is not reported as a diverged loss
     p = write_config(tmp_path, {"train": {"epochs": 1}})
     cfg = load_run_config(p)
     cmd_simulate(cfg)
     layout = DatasetLayout(cfg.dataset_dir)
     labels = layout.labels_path(load_manifest(layout).splits["train"][0])
     bad = {"class": "Car", "x": 0.5, "y": 1.65, "z": 20.0, "h": 1.5, "w": 1.8, "l": 4.3,
-           "yaw": 0.0, "box2d": [80.0, 45.0, 20.0, 10.0], "albedo": 0.5, field: 1e308}
+           "yaw": 0.0, "box2d": [80.0, 45.0, 20.0, 10.0], "albedo": 0.5, field: value}
     with labels.open("a") as f:
         f.write(json.dumps(bad) + "\n")
     capsys.readouterr()
     assert main(["train", "--config", str(p)]) == 1
     last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("gfk-error: NonFiniteBox:") and str(labels) in last
+    assert last.startswith(f"gfk-error: {error}:") and str(labels) in last
     errors = cmd_codec_check(cfg)["record_errors"]
-    assert [e["error"] for e in errors] == ["NonFiniteBox"]
+    assert [e["error"] for e in errors] == [error]
 
 
 def test_predict_drops_boxes_that_decode_to_non_finite_values(tmp_path, caplog):

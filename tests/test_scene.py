@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gfk import (
     BehindCamera,
@@ -22,7 +23,7 @@ from gfk import (
     read_labels,
     sample_scene,
 )
-from gfk.camera import CamPoint, project
+from gfk.camera import project
 from gfk.geometry import convex_intersection_area
 from gfk.scene import (
     LabeledObject,
@@ -32,6 +33,7 @@ from gfk.scene import (
     labels_to_jsonl,
     parse_label,
 )
+from oracles import oracle_box2d_per_point
 
 
 def make_box(**kw):
@@ -93,8 +95,8 @@ def test_sample_scene_respects_config():
             assert 0.2 <= obj.albedo <= 0.9
             assert b.y == cfg.ground_y
             # center projects inside the image
-            px = project(CamPoint(b.x, 0.0, b.z), cfg.camera)
-            assert 0 <= px.u <= cfg.camera.width
+            u, _ = project(b.x, 0.0, b.z, cfg.camera)
+            assert 0 <= u <= cfg.camera.width
 
 
 def test_sample_scene_ground_jitter_spreads_heights():
@@ -128,17 +130,30 @@ def test_oracle_box2d_matches_direct_projection():
     cam = DEFAULT_CAMERA
     b = make_box(x=2.0, z=25.0, yaw=0.6)
     box2d = oracle_box2d(b, cam)
-    us, vs = [], []
-    for x, y, z in b.corners_3d():
-        px = project(CamPoint(x, y, z), cam)
-        us.append(px.u)
-        vs.append(px.v)
+    us, vs = zip(*(project(x, y, z, cam) for x, y, z in b.corners_3d()))
     assert box2d.u == pytest.approx((min(us) + max(us)) / 2)
     assert box2d.v == pytest.approx((min(vs) + max(vs)) / 2)
     assert box2d.w_u == pytest.approx(max(us) - min(us))
     assert box2d.h_v == pytest.approx(max(vs) - min(vs))
     assert box2d.cls == b.cls
     assert box2d.score == 1.0
+
+
+@given(x=st.floats(-20.0, 20.0), y=st.floats(-3.0, 3.0), z=st.floats(-3.0, 6.0),
+       h=st.floats(0.2, 4.0), w=st.floats(0.2, 4.0), length=st.floats(0.2, 6.0),
+       yaw=st.floats(-math.pi, math.pi))
+@example(x=0.3, y=1.65, z=1.0, h=1.55, w=1.85, length=4.3, yaw=0.4)  # straddles z = Z_CLIP
+def test_oracle_box2d_matches_per_point_reference(x, y, z, h, w, length, yaw):
+    # boxes with z in [-3, 6] m often straddle the near plane, so their
+    # edges get cut at Z_CLIP before projection
+    b = make_box(x=x, y=y, z=z, h=h, w=w, l=length, yaw=yaw)
+    try:
+        expected = oracle_box2d_per_point(b, DEFAULT_CAMERA)
+    except (BehindCamera, FullyOutOfImage) as e:
+        with pytest.raises(type(e)):
+            oracle_box2d(b, DEFAULT_CAMERA)
+    else:
+        assert oracle_box2d(b, DEFAULT_CAMERA) == expected
 
 
 def test_oracle_box2d_clips_to_image():
