@@ -144,14 +144,18 @@ class DatasetLayout:
         return self.frame_dir(frame_id) / "labels.jsonl"
 
     def load_slices(self, frame_id: str) -> np.ndarray:
-        imgs = []
-        for p in self.slice_paths(frame_id):
-            img, _maxval = pgm.read_pgm(p)
-            imgs.append(img)
-        try:
-            return np.stack(imgs)
-        except ValueError as e:
-            raise ParseError(f"{self.frame_dir(frame_id)}: slice shapes differ: {e}") from e
+        """The frame's (3, H, W) slices; all three must share size and bit depth.
+
+        The first slice sets the frame's shape and dtype, and the other two
+        are converted straight into it.
+        """
+        first, *rest = self.slice_paths(frame_id)
+        img, _maxval = pgm.read_pgm(first)
+        slices = np.empty((3, *img.shape), img.dtype)
+        slices[0] = img
+        for out, p in zip(slices[1:], rest):
+            pgm.read_pgm(p, out=out)
+        return slices
 
 
 @dataclass(frozen=True)
@@ -456,6 +460,7 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
                 t.append(target_row(encode(obj.box, obj.box2d, st, k, cam)))
             except GfkError as e:
                 raise type(e)(f"{layout.labels_path(fid)}: {e}") from None
+        del slices  # free this frame before the next one loads
     return np.array(x).reshape(-1, FEATURE_SIZE), np.array(t).reshape(-1, 7)
 
 
@@ -501,6 +506,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
             boxes2d = [perturb_box2d(b, cfg.perturb_2d, rng) for b in boxes2d]
         for pred in predict(params, slices, boxes2d, classes, k, cam, mask):
             rows.append((fid, pred.box, pred.box2d, pred.code))
+        del slices  # free this frame before the next one loads
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.predictions_path, predictions_to_jsonl(rows))
     return {

@@ -13,21 +13,29 @@ import numpy as np
 from .errors import ParseError
 
 
-def encode_pgm(image: np.ndarray, maxval: int) -> bytes:
+def encode_pgm(image: np.ndarray, maxval: int) -> bytearray:
+    """The P5 file of a 2D image, each pixel converted once into the result."""
     if image.ndim != 2:
         raise ValueError(f"expected a 2D image, got shape {image.shape}")
     if not (0 < maxval < 65536):
         raise ValueError(f"maxval {maxval} outside (0, 65536)")
-    data = np.asarray(image)
-    if data.min() < 0 or data.max() > maxval:
+    if image.min() < 0 or image.max() > maxval:
         raise ValueError("pixel values outside [0, maxval]")
-    h, w = data.shape
+    h, w = image.shape
     header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
-    if maxval > 255:
-        body = data.astype(">u2").tobytes()
-    else:
-        body = data.astype(np.uint8).tobytes()
-    return header + body
+    dtype = _raster_dtype(maxval)
+    # a lead byte puts the raster on an item boundary, where numpy converts
+    # fastest; deleting a bytearray's first bytes moves no data
+    lead = len(header) % dtype.itemsize
+    out = bytearray(lead + len(header) + image.size * dtype.itemsize)
+    out[lead:lead + len(header)] = header
+    np.ndarray((h, w), dtype, out, lead + len(header))[...] = image
+    del out[:lead]
+    return out
+
+
+def _raster_dtype(maxval: int) -> np.dtype:
+    return np.dtype(">u2" if maxval > 255 else np.uint8)
 
 
 def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
@@ -50,8 +58,12 @@ def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a binary PGM; returns (image, maxval) with dtype uint8 or uint16."""
+def read_pgm(path: str | Path, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Read a binary PGM; returns (image, maxval) with dtype uint8 or uint16.
+
+    With out, the raster is converted into out and out is returned; a file
+    whose size or depth differs from out's shape and dtype raises ParseError.
+    """
     path = Path(path)
     data = path.read_bytes()
     magic, pos = _next_token(data, 0, path)
@@ -68,14 +80,20 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     if w <= 0 or h <= 0 or not (0 < maxval < 65536):
         raise ParseError(f"{path}: bad header fields {w} {h} {maxval}")
     pos += 1  # single whitespace byte separates header from raster
-    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    dtype = _raster_dtype(maxval)
     n_bytes = w * h * dtype.itemsize
     if len(data) - pos != n_bytes:
         raise ParseError(f"{path}: expected {n_bytes} raster bytes for {w}x{h} pixels, "
                          f"found {max(len(data) - pos, 0)}")
-    image = np.frombuffer(data, dtype=dtype, offset=pos).reshape(h, w)
-    if maxval > 255:
-        image = image.astype(np.uint16)
+    raster = np.frombuffer(data, dtype=dtype, offset=pos).reshape(h, w)
+    if out is None:
+        image = raster.astype(np.uint16) if maxval > 255 else raster
+    elif out.shape == (h, w) and out.dtype == dtype.newbyteorder("="):
+        image = out
+        image[...] = raster
+    else:
+        raise ParseError(f"{path}: {w}x{h} {dtype.itemsize * 8}-bit raster, expected "
+                         f"{out.shape[1]}x{out.shape[0]} {out.dtype.itemsize * 8}-bit")
     if image.max(initial=0) > maxval:
         raise ParseError(f"{path}: pixel exceeds declared maxval {maxval}")
     return image, maxval

@@ -159,38 +159,53 @@ def _measure_slice(values: np.ndarray, index: np.ndarray, noise: NoiseConfig,
 
     values holds one signal per object, index the (H, W) object-index map.
     Shot noise is drawn first, read noise second, from the one generator.
-    Poisson counts are drawn only where the signal is non-zero: numpy
-    returns 0 for a zero rate without advancing the generator (pinned in
-    tests/test_ripsim.py), and draws over consecutive bands consume the
-    stream as one draw over the slice does, so counts and generator state
-    are those of one draw over every pixel. Each band's read noise is drawn
-    into it and the counts added where non-zero; as rng.normal(0, sigma)
-    never returns -0.0 and addition commutes, every element equals
-    counts / photon_scale + read noise.
+    Poisson counts are drawn only at lit pixels, those whose object has a
+    non-zero signal: numpy returns 0 for a zero rate without advancing the
+    generator (pinned in tests/test_ripsim.py), and draws over consecutive
+    bands consume the stream as one draw over the slice does, so counts and
+    generator state are those of one draw over every pixel. A band's lit
+    mask compares the narrow map with each lit object id, so only the lit
+    pixels' ids are widened to gather their rates, and a slice with no lit
+    object draws no counts at all. Each band's read noise is drawn in place
+    as sigma * standard_normal, the numbers rng.normal(0, sigma) returns
+    (also pinned), except that a product of -0.0 is 0.0 there; unclipped
+    output adds 0.0 to match, and clipped output stores both as count 0.
+    Addition commutes, so every element equals counts / photon_scale + read
+    noise.
     """
     step = max(1, BAND_PIXELS // index.shape[1])
-    bands = [slice(r, r + step) for r in range(0, index.shape[0], step)]
-    sigma, shot = noise.read_noise_sigma, not math.isinf(noise.photon_scale)
-    # numpy gathers through intp indices several times faster than through
-    # the map's narrow dtype, so each band's indices are widened first
-    if shot:
-        lit = values != 0
-        rates = values * noise.photon_scale
-        counts = [rng.poisson(np.take(rates, i[np.take(lit, i)]))
-                  for i in (index[b].astype(np.intp) for b in bands)]
-    for k, b in enumerate(bands):
-        i = index[b].astype(np.intp)
-        if shot:
-            x = rng.normal(0.0, sigma, size=i.shape) if sigma > 0 else np.zeros(i.shape)
-            x[np.take(lit, i)] += counts[k] / noise.photon_scale
+    bands = [(slice(r, r + step), index[r:r + step]) for r in range(0, index.shape[0], step)]
+    sigma, scale = noise.read_noise_sigma, noise.photon_scale
+    shot = not math.isinf(scale)
+    # python ints compare with the map in its own dtype; numpy ints would widen it
+    lit_ids = np.flatnonzero(values).tolist() if shot else []
+    counts = []
+    if lit_ids:
+        rates = values * scale
+        for _, band in bands:
+            lit = band == lit_ids[0]
+            for i in lit_ids[1:]:
+                lit |= band == i
+            counts.append((lit, rng.poisson(np.take(rates, band[lit]))))
+    buf = np.empty(bands[0][1].size)
+    for k, (rows, band) in enumerate(bands):
+        x = buf[:band.size].reshape(band.shape)
+        if sigma > 0:
+            rng.standard_normal(out=x)
+            x *= sigma
         else:
-            x = np.take(values, i)
-            if sigma > 0:
-                x += rng.normal(0.0, sigma, size=i.shape)
+            x.fill(0.0)
+        if counts:
+            lit, c = counts[k]
+            x[lit] += c / scale
+        elif not shot:
+            x += np.take(values, band)
         if noise.enable_clipping:
             np.clip(x, 0, noise.full_scale, out=x)
             np.rint(x, out=x)
-        out[b] = x
+        elif sigma > 0:
+            x += 0.0
+        out[rows] = x
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,11 @@ from .records import FieldError, build, get, read_jsonl
 # Corners behind this z (meters) are clipped before projection.
 Z_CLIP = 1e-3
 
+# The largest |x|, |y|, z and dimension in meters a label may hold: far
+# beyond any scene simulate places, and far below where a frustum code or
+# a training loss loses its meaning.
+MAX_EXTENT_M = 1e4
+
 
 @dataclass(frozen=True)
 class ObjectClass:
@@ -40,6 +45,12 @@ class ObjectClass:
                              f"numbers, got {self.dim_mean}")
         if not 0 <= self.sigma_h < math.inf:
             raise ValueError(f"{self.name}: sigma_h must be finite and >= 0, got {self.sigma_h}")
+        # sample_scene draws each dimension within 3 sigma of its mean, sigma
+        # being sigma_h scaled by that mean over the height mean
+        reach = max(self.dim_mean) * (1.0 + 3.0 * self.sigma_h / self.dim_mean[0])
+        if reach > MAX_EXTENT_M:
+            raise ValueError(f"{self.name}: dimensions reach {reach:g} m, beyond the "
+                             f"{MAX_EXTENT_M:g} m a label may hold")
 
 
 # k=2 spans pedestrian heights 1.5 m to 2.0 m, which covers most adults.
@@ -183,6 +194,11 @@ class SceneConfig:
             raise ValueError(f"background_range must be >= 0, got {self.background_range}")
         if self.max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
+        reach = max(self.camera.width / self.camera.f_u * z1 * self.x_margin,
+                    abs(self.ground_y) + self.ground_y_jitter)
+        if reach > MAX_EXTENT_M:
+            raise ValueError(f"objects placed up to {reach:g} m off the optical axis, beyond "
+                             f"the {MAX_EXTENT_M:g} m a label may hold")
 
 
 def _trunc_normal(rng: np.random.Generator, mean: float, sigma: float) -> float:
@@ -323,6 +339,10 @@ def parse_box(rec, score: float = 1.0) -> tuple[Box3D, Box2D]:
 def parse_label(rec, where: str) -> LabeledObject:
     try:
         box, box2d = parse_box(rec)
+        for name in ("x", "y", "z", "h", "w", "l"):
+            if abs(value := getattr(box, name)) > MAX_EXTENT_M:
+                raise FieldError(f"{value:g} m is beyond the {MAX_EXTENT_M:g} m a label may hold",
+                                 name)
         return LabeledObject(box, box2d, get(rec, "albedo", float))
     except FieldError as e:
         raise ParseError(f"{where}: {e}") from None

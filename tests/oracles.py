@@ -7,12 +7,13 @@ IoU, threshold enumeration for average precision, and central differences
 for gradients. ratio_table and range_from_ratios look a range up from three
 slice intensities by nearest normalized ratio vector; the library has no
 such lookup, and the tests use it to check that the gates identify range.
-whole_frame_features, full_frame_render, per_kind_evaluate and
-oracle_box2d_per_point are the exceptions: they are the box feature
-extractor, the frame renderer, the report scorer and the 2D box labeler as
-first written, kept to pin that cropping first, rendering from an
-object-index map, scoring from shared BEV intersections and projecting
-plain floats change no bit. NOISELESS (no shot or read noise, no
+whole_frame_features, full_frame_render, per_kind_evaluate,
+oracle_box2d_per_point and encode_pgm_reference are the exceptions: they
+are the box feature extractor, the frame renderer, the report scorer, the
+2D box labeler and the PGM writer as first written, kept to pin that
+cropping first, rendering from an object-index map, scoring from shared
+BEV intersections, projecting plain floats and converting pixels straight
+into the file buffer change no bit. NOISELESS (no shot or read noise, no
 clipping), support and plateau_range (where a gate's profile is non-zero
 and where it is flat) are test instruments the library itself never
 needs. Keep these dumb and obviously correct.
@@ -270,6 +271,13 @@ def full_frame_render(scene, gates, cam, noise, seed: int) -> np.ndarray:
             x = np.rint(np.clip(x, 0, noise.full_scale))
         slices.append(x)
     return np.stack(slices).astype(np.uint16 if noise.enable_clipping else np.float64)
+
+
+def encode_pgm_reference(image: np.ndarray, maxval: int) -> bytes:
+    """The P5 file of image: header, then the raster converted with astype."""
+    h, w = image.shape
+    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
+    return header + image.astype(">u2" if maxval > 255 else np.uint8).tobytes()
 
 
 def all_pairs_ap_40(dets, gts, iou_fn, threshold: float, det_frames, gt_frames) -> ApResult:

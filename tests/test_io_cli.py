@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gfk import io_cli
+from gfk import io_cli, pgm
 from gfk.io_cli import main
 from gfk.io_cli import (
     DatasetLayout,
@@ -538,15 +538,21 @@ def test_labels_with_an_overflowing_box2d_end_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value, error", [
-    pytest.param("h", 1e308, "NonFiniteBox", id="h"),
-    pytest.param("x", 1e308, "NonFiniteBox", id="x"),
+    pytest.param("h", 1e308, "ParseError", id="h"),
+    pytest.param("x", 1e308, "ParseError", id="x"),
+    pytest.param("w", 1e308, "ParseError", id="w"),
+    pytest.param("l", 1e308, "ParseError", id="l"),
+    pytest.param("z", 1e308, "ParseError", id="z-far"),
+    pytest.param("y", -2e4, "ParseError", id="y"),
     pytest.param("z", -5.0, "NonPositiveDepth", id="z"),
     pytest.param("box2d", [80.0, 45.0, 20.0, 1e-4], "DegenerateBox", id="box2d"),
 ])
 def test_train_blames_an_overflowing_label_on_its_file(tmp_path, capsys, field, value, error):
-    # the label cannot be encoded (its code overflows, it sits behind the
-    # camera, its 2D box is too flat): train names the labels file, and an
-    # overflow is not reported as a diverged loss
+    # the label lies beyond scene.MAX_EXTENT_M or cannot be encoded (its
+    # code overflows, it sits behind the camera, its 2D box is too flat):
+    # train names the labels file, and an overflow is not reported as a
+    # diverged loss. Codes of w, l and a far z stay finite, so without the
+    # parse bound those labels trained to a loss near 1e306.
     p = write_config(tmp_path, {"train": {"epochs": 1}})
     cfg = load_run_config(p)
     cmd_simulate(cfg)
@@ -594,6 +600,52 @@ def test_predict_bad_meta_classes_is_model_parse_error(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("gfk-error: ModelParseError: ")
     assert "meta.classes" in err
+
+
+def _write_frame(layout, fid, maxvals, shapes=((4, 6),) * 3):
+    layout.frame_dir(fid).mkdir(parents=True)
+    rng = np.random.default_rng(0)
+    for p, maxval, shape in zip(layout.slice_paths(fid), maxvals, shapes):
+        img = rng.integers(0, maxval + 1, size=shape).astype(np.uint16)
+        p.write_bytes(pgm.encode_pgm(img, maxval))
+
+
+@pytest.mark.parametrize("maxval", [255, 1023])
+def test_load_slices_equals_the_stacked_slices(tmp_path, maxval):
+    layout = DatasetLayout(tmp_path)
+    _write_frame(layout, "f", (maxval,) * 3)
+    want = np.stack([pgm.read_pgm(p)[0] for p in layout.slice_paths("f")])
+    got = layout.load_slices("f")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("maxvals, shapes", [
+    ((1023, 255, 1023), ((4, 6),) * 3),
+    ((255, 1023, 1023), ((4, 6),) * 3),
+    ((1023,) * 3, ((4, 6), (4, 6), (6, 4))),
+], ids=["16-then-8-bit", "8-then-16-bit", "shapes"])
+def test_load_slices_rejects_slices_of_another_size_or_depth(tmp_path, maxvals, shapes):
+    layout = DatasetLayout(tmp_path)
+    _write_frame(layout, "f", maxvals, shapes)
+    with pytest.raises(ParseError) as err:
+        layout.load_slices("f")
+    assert str(layout.frame_dir("f")) in str(err.value)
+
+
+def test_load_slices_reads_each_slice_through_the_pgm_module(tmp_path, monkeypatch):
+    # perfbench counts PGM reads by wrapping the module attribute
+    layout = DatasetLayout(tmp_path)
+    _write_frame(layout, "f", (1023,) * 3)
+    seen, read = [], pgm.read_pgm
+
+    def counting(path, *args, **kwargs):
+        seen.append(path)
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(pgm, "read_pgm", counting)
+    layout.load_slices("f")
+    assert seen == list(layout.slice_paths("f"))
 
 
 def test_atomic_write_no_temp_left(tmp_path):

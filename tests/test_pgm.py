@@ -5,6 +5,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gfk.errors import ParseError
 from gfk.pgm import encode_pgm, read_pgm
 
+from oracles import encode_pgm_reference
+
 
 def test_roundtrip_uint16(tmp_path):
     rng = np.random.default_rng(0)
@@ -40,6 +42,19 @@ def test_sixteen_bit_is_big_endian():
     img = np.array([[0x0102]], dtype=np.uint16)
     data = encode_pgm(img, 65535)
     assert data.endswith(b"\x01\x02")
+
+
+@pytest.mark.parametrize("maxval", [255, 1023, 65535])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 10), (3, 5), (17, 2), (90, 160), (91, 161)])
+def test_encode_matches_the_astype_reference(shape, dtype, maxval):
+    # headers of odd and even length put the raster at both byte parities,
+    # float pixels are truncated as astype truncates them, and a transposed
+    # image is read in its logical order
+    top = min(maxval, 255) if dtype == np.uint8 else maxval
+    img = (np.random.default_rng(5).random(shape) * top).astype(dtype)
+    assert bytes(encode_pgm(img, maxval)) == encode_pgm_reference(img, maxval)
+    assert bytes(encode_pgm(img.T, maxval)) == encode_pgm_reference(img.T, maxval)
 
 
 def test_comments_and_whitespace(tmp_path):

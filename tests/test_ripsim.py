@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gfk import (
     CameraModel,
@@ -186,6 +186,24 @@ def test_poisson_zero_rate_draws_zero_and_consumes_no_bits():
     assert mixed.bit_generator.state == lit.bit_generator.state
 
 
+@pytest.mark.parametrize("sigma", [2.0, 1.7, 0.25, 1e300, 5e-324])
+def test_normal_is_scaled_standard_normal_drawn_in_place(sigma):
+    # _measure_slice draws read noise as sigma * standard_normal into a
+    # reused buffer, plus 0.0 where the output is unclipped; that keeps the
+    # rendered bytes only while numpy's normal(0, sigma) is exactly this.
+    # At the smallest subnormal sigma most products round to a signed zero
+    # and normal returns +0.0 for all of them.
+    n = 655_360 // 5
+    ref, rng = np.random.default_rng(17), np.random.default_rng(17)
+    want = ref.normal(0.0, sigma, n)
+    got = np.empty(n)
+    rng.standard_normal(out=got)
+    got *= sigma
+    got += 0.0
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_clipping_clamps_and_rounds():
     noise = NoiseConfig(read_noise_sigma=400.0, photon_scale=1.0, enable_clipping=True,
                         full_scale=1023)
@@ -327,8 +345,24 @@ def render_cases(draw):
     return scene, gates, noise, draw(st.integers(0, 2**32 - 1))
 
 
+def _row_of_cars(albedo, background_albedo=0.0, background_range=150.0):
+    """Three cars side by side in the same rows at 10, 12 and 14 m."""
+    cars = tuple(SceneObject(Box3D(cls="Car", x=x, y=1.0, z=z, h=2.0, w=1.0, l=1.5, yaw=0.0),
+                             albedo) for x, z in ((-2.0, 10.0), (0.0, 12.0), (2.0, 14.0)))
+    return SceneDescription(objects=cars, background_albedo=background_albedo,
+                            background_range=background_range)
+
+
 @settings(max_examples=300, deadline=None)
 @given(render_cases())
+# no lit object id in any slice: only read noise is drawn
+@example((_row_of_cars(0.0), default_gates(), NoiseConfig(), 3))
+# a lit background, so every pixel draws a count
+@example((_row_of_cars(0.6, 0.3, 40.0), default_gates(), NoiseConfig(), 4))
+# several lit objects in one band; at a subnormal sigma the read noise is
+# mostly signed zeros, which the unclipped float output must store as +0.0
+@example((_row_of_cars(0.6), default_gates(),
+          NoiseConfig(read_noise_sigma=5e-324, enable_clipping=False), 5))
 def test_render_matches_full_frame_oracle_bit_for_bit(case):
     scene, gates, noise, seed = case
     cam = CameraModel(f_u=50.0, f_v=50.0, c_u=20.0, c_v=12.0, width=40, height=24)

@@ -26,6 +26,7 @@ from gfk import (
 from gfk.camera import project
 from gfk.geometry import convex_intersection_area
 from gfk.scene import (
+    MAX_EXTENT_M,
     LabeledObject,
     SceneDescription,
     SceneObject,
@@ -223,3 +224,27 @@ def test_read_labels_error_reports_line(tmp_path):
 def test_parse_label_missing_field():
     with pytest.raises(ParseError):
         parse_label({"class": "Car"}, where="x")
+
+
+def test_parse_label_bounds_positions_and_dimensions():
+    box = make_box(z=MAX_EXTENT_M, l=MAX_EXTENT_M, x=-MAX_EXTENT_M)
+    rec = json.loads(labels_to_jsonl([LabeledObject(box, oracle_box2d(make_box(), DEFAULT_CAMERA),
+                                                    0.5)]))
+    assert parse_label(rec, "f:1").box == box
+    for field in ("x", "y", "z", "h", "w", "l"):
+        far = rec | {field: -1.5 * MAX_EXTENT_M if field in "xy" else 1.5 * MAX_EXTENT_M}
+        with pytest.raises(ParseError, match=f"^f:7: {field}: -?15000 m is beyond the 10000 m"):
+            parse_label(far, "f:7")
+
+
+def test_simulate_never_places_beyond_the_label_bound():
+    # the classes and scene configs whose draws could leave MAX_EXTENT_M
+    ObjectClass("Car", (1.5, 1.8, MAX_EXTENT_M), 0.0)
+    for dim_mean, sigma_h in (((1.5, 1.8, 2 * MAX_EXTENT_M), 0.1), ((1.0, 1.0, 1.0), 1e4)):
+        with pytest.raises(ValueError, match="beyond the"):
+            ObjectClass("Car", dim_mean, sigma_h)
+    wide = CameraModel(f_u=0.01, f_v=1.0, c_u=0.0, c_v=0.0, width=2, height=2)
+    far = 1.5 * MAX_EXTENT_M
+    for kw in ({"camera": wide}, {"ground_y": -far}, {"ground_y_jitter": far}):
+        with pytest.raises(ValueError, match="beyond the"):
+            SceneConfig(**kw)
