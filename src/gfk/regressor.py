@@ -12,6 +12,16 @@ eight frustum-code coefficients. Layout of the feature vector:
 
 Forward/backward are written out by hand (tanh hidden layers, identity
 output) so training is dependency-free and exactly reproducible.
+
+Dtypes by stage: extract_features returns float64 features, and the
+training targets (loss.target_row) are float64 too. The network is
+float32: its parameters, gradients, Adam moments and activations. train
+casts its feature and target matrices to float32 once, and predict casts
+each feature row at the network boundary; a row with an entry beyond
+float32's range is a NonFiniteBox. The loss takes the float32 outputs and
+targets as they are: its gradient is float32, while its smooth-L1 terms,
+and so the per-sample totals that the epoch losses sum, come out float64
+(loss.smooth_l1 casts).
 """
 
 from __future__ import annotations
@@ -28,7 +38,8 @@ import numpy as np
 
 from .camera import CameraModel
 from .codec import FrustumCode, decode
-from .errors import EmptyDataset, GfkError, ModelParseError, ShapeMismatch, TrainingDiverged
+from .errors import (EmptyDataset, GfkError, ModelParseError, NonFiniteBox, ShapeMismatch,
+                     TrainingDiverged)
 from .loss import LossWeights, _loss_batch
 from .records import FieldError, get, parse_json
 from .scene import Box2D, Box3D, ObjectClass, class_stats_from_json, class_stats_to_json
@@ -97,11 +108,11 @@ def extract_features(slices: np.ndarray, p: Box2D) -> np.ndarray:
 
 @dataclass(eq=False)
 class MlpParams:
-    """Dense network parameters held in one float64 vector, zero on creation.
+    """Dense network parameters held in one float32 vector, zero on creation.
 
     flat stores each layer's weights, row-major, then its biases, layer after
     layer; weights[i] (shape (sizes[i+1], sizes[i])) and biases[i] are views
-    into it. Gradients and the Adam moments use the same layout.
+    into it. Gradients and the Adam moments use the same layout and dtype.
     """
 
     sizes: tuple[int, ...]
@@ -111,7 +122,7 @@ class MlpParams:
 
     def __post_init__(self) -> None:
         pairs = list(zip(self.sizes[1:], self.sizes[:-1]))  # (n_out, n_in) per layer
-        self.flat = np.zeros(sum(n_out * (n_in + 1) for n_out, n_in in pairs))
+        self.flat = np.zeros(sum(n_out * (n_in + 1) for n_out, n_in in pairs), np.float32)
         self.weights, self.biases = [], []
         pos = 0
         for n_out, n_in in pairs:
@@ -122,7 +133,8 @@ class MlpParams:
 
 
 def init_params(sizes: Sequence[int], seed: int | np.random.SeedSequence) -> MlpParams:
-    """Gaussian init scaled by 1/sqrt(fan_in), zero biases."""
+    """Gaussian init scaled by 1/sqrt(fan_in), zero biases; drawn in float64
+    and stored rounded to float32."""
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
         raise ValueError(f"bad layer sizes {sizes}")
@@ -131,6 +143,17 @@ def init_params(sizes: Sequence[int], seed: int | np.random.SeedSequence) -> Mlp
     for w in params.weights:
         w[:] = rng.normal(0.0, 1.0 / math.sqrt(w.shape[1]), size=w.shape)
     return params
+
+
+def _float32(a: np.ndarray, what: str) -> np.ndarray:
+    """The rows of a in float32, the network's dtype; NonFiniteBox names the
+    first row with an entry that is not finite there."""
+    with np.errstate(over="ignore"):  # a finite float64 beyond float32's range is inf
+        out = a.astype(np.float32)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise NonFiniteBox(f"{what}: row {np.argwhere(bad)[0][0]} is not finite in float32")
+    return out
 
 
 def _forward_batch(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
@@ -196,27 +219,25 @@ class EpochStats:
     val_total: float
 
 
-def _mean_loss(params: MlpParams, x: np.ndarray, t: np.ndarray, w: LossWeights) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged loss is inf or NaN
-        parts, _ = _loss_batch(_forward_batch(params, x)[-1], t, w)
-    return float(parts["total"].mean())
-
-
 def train(x: np.ndarray, t: np.ndarray, cfg: TrainConfig, x_val: np.ndarray,
           t_val: np.ndarray) -> tuple[MlpParams, list[EpochStats]]:
     """Adam over minibatches of the mean per-sample loss.
 
     x and x_val are (n, FEATURE_SIZE) feature matrices, t and t_val the
-    (n, 7) loss.target_row rows. Deterministic for a fixed config: parameter
+    (n, 7) loss.target_row rows, all cast to float32 once (NonFiniteBox if
+    an entry does not fit). Deterministic for a fixed config: parameter
     init and epoch shuffles run on seeds derived from cfg.seed. Returns the
     trained parameters and one EpochStats per epoch (val_total is NaN when
     the validation set is empty). Raises TrainingDiverged as soon as a
-    minibatch loss is not finite.
+    minibatch loss is not finite, or when the last step leaves a parameter
+    that is not.
     """
     if len(x) == 0:
         raise EmptyDataset("no training samples")
     if x.shape[1] != FEATURE_SIZE:
         raise ShapeMismatch(f"features have {x.shape[1]} entries, expected {FEATURE_SIZE}")
+    x, t = _float32(x, "training features"), _float32(t, "training targets")
+    x_val, t_val = _float32(x_val, "validation features"), _float32(t_val, "validation targets")
 
     init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     params = init_params(cfg.sizes, seed=init_ss)
@@ -228,39 +249,44 @@ def train(x: np.ndarray, t: np.ndarray, cfg: TrainConfig, x_val: np.ndarray,
     step = 0
     n = len(x)
     history: list[EpochStats] = []
-    for epoch in range(1, cfg.epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        sums = {"loc": 0.0, "dim": 0.0, "ori": 0.0, "total": 0.0}
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            xb, tb = x[idx], t[idx]
-            acts = _forward_batch(params, xb)
-            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+    # A step that overflows float32 leaves an inf or NaN that the next
+    # forward pass carries into the loss, which is checked at every step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            perm = shuffle_rng.permutation(n)
+            sums = {"loc": 0.0, "dim": 0.0, "ori": 0.0, "total": 0.0}
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                xb, tb = x[idx], t[idx]
+                acts = _forward_batch(params, xb)
                 parts, d_out = _loss_batch(acts[-1], tb, cfg.loss)
-            for key in sums:
-                sums[key] += float(parts[key].sum())
-            step += 1
-            if not math.isfinite(sums["total"]):
-                raise TrainingDiverged(f"loss is {sums['total']} at epoch {epoch}, step {step}")
-            _backward_batch(params, acts, d_out / len(idx), grads)
-            g = grads.flat
-            m += (1.0 - ADAM_BETA1) * (g - m)
-            v += (1.0 - ADAM_BETA2) * (g * g - v)
-            params.flat -= (cfg.learning_rate * (m / (1.0 - ADAM_BETA1**step))
-                            / (np.sqrt(v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS))
-        val_total = math.nan
-        if len(x_val) > 0:
-            val_total = _mean_loss(params, x_val, t_val, cfg.loss)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                loc=sums["loc"] / n,
-                dim=sums["dim"] / n,
-                ori=sums["ori"] / n,
-                total=sums["total"] / n,
-                val_total=val_total,
+                for key in sums:
+                    sums[key] += float(parts[key].sum())
+                step += 1
+                if not math.isfinite(sums["total"]):
+                    raise TrainingDiverged(f"loss is {sums['total']} at epoch {epoch}, step {step}")
+                _backward_batch(params, acts, d_out / len(idx), grads)
+                g = grads.flat
+                m += (1.0 - ADAM_BETA1) * (g - m)
+                v += (1.0 - ADAM_BETA2) * (g * g - v)
+                params.flat -= (cfg.learning_rate * (m / (1.0 - ADAM_BETA1**step))
+                                / (np.sqrt(v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS))
+            val_total = math.nan
+            if len(x_val) > 0:
+                parts, _ = _loss_batch(_forward_batch(params, x_val)[-1], t_val, cfg.loss)
+                val_total = float(parts["total"].mean())
+            history.append(
+                EpochStats(
+                    epoch=epoch,
+                    loc=sums["loc"] / n,
+                    dim=sums["dim"] / n,
+                    ori=sums["ori"] / n,
+                    total=sums["total"] / n,
+                    val_total=val_total,
+                )
             )
-        )
+    if not np.isfinite(params.flat).all():
+        raise TrainingDiverged(f"parameters are not finite after epoch {cfg.epochs}, step {step}")
     return params, history
 
 
@@ -277,22 +303,34 @@ def predict(params: MlpParams, slices: np.ndarray, boxes2d: Sequence[Box2D],
             stats: dict[str, ObjectClass], k: float, cam: CameraModel,
             feature_mask: np.ndarray) -> list[PredictedBox]:
     """Decode one 3D box per 2D box; boxes that fail to decode are dropped
-    with a warning. Features are multiplied by feature_mask before the
-    network sees them. The 2D score is carried through unchanged."""
-    out: list[PredictedBox] = []
+    with a warning, as are boxes whose features do not fit float32.
+    Features are multiplied by feature_mask before the network sees them.
+    The network runs on each box's row alone, because BLAS may pick another
+    kernel for a larger batch, so a box's code does not depend on the other
+    boxes of its frame. The 2D score is carried through unchanged."""
+    known = []
     for p in boxes2d:
-        st = stats.get(p.cls)
-        if st is None:
+        if p.cls in stats:
+            known.append(p)
+        else:
             logger.warning("no class stats for %r, skipping box", p.cls)
-            continue
-        x = extract_features(slices, p) * feature_mask
-        q = FrustumCode(*_forward_batch(params, x[None])[-1][0].tolist())
-        try:
-            box = decode(q, p, st, k, cam)
-        except GfkError as e:
-            logger.warning("dropping box (%s): %s", type(e).__name__, e)
-            continue
-        out.append(PredictedBox(box, p, q))
+    if not known:
+        return []
+    x = np.array([extract_features(slices, p) for p in known]) * feature_mask
+    out: list[PredictedBox] = []
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, and by decode
+        x = x.astype(np.float32)
+        fits = np.isfinite(x).all(axis=1).tolist()
+        for p, row, ok in zip(known, x, fits):
+            try:
+                if not ok:
+                    raise NonFiniteBox("features are not finite in float32")
+                q = FrustumCode(*_forward_batch(params, row[None])[-1][0].tolist())
+                box = decode(q, p, stats[p.cls], k, cam)
+            except GfkError as e:
+                logger.warning("dropping box (%s): %s", type(e).__name__, e)
+                continue
+            out.append(PredictedBox(box, p, q))
     return out
 
 
@@ -319,7 +357,9 @@ def model_to_json(params: MlpParams, k: float, feature_mask: np.ndarray,
 def parse_model(data: bytes, where: str) -> tuple[MlpParams, float, np.ndarray,
                                                  dict[str, ObjectClass]]:
     """Inverse of model_to_json, from the file's bytes: (params, k,
-    feature_mask, classes); a null or absent feature mask reads as all ones."""
+    feature_mask, classes); a null or absent feature mask reads as all ones.
+    Stored weights and biases load rounded to float32, so a file written by
+    a float64 network loads too; one that overflows float32 does not."""
     try:
         payload = parse_json(data)
         sizes = get(payload, "sizes", tuple[int, ...])
@@ -349,9 +389,13 @@ def parse_model(data: bytes, where: str) -> tuple[MlpParams, float, np.ndarray,
         if w.shape != (sizes[i + 1] * sizes[i],) or b.shape != (sizes[i + 1],):
             raise ModelParseError(f"{where}: layer {i} has wrong parameter count")
         # Weights are bulk arrays: one dtype and one finiteness check per layer.
-        if (w.dtype.kind not in "iuf" or b.dtype.kind not in "iuf"
-                or not (np.isfinite(w).all() and np.isfinite(b).all())):
+        if w.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
             raise ModelParseError(f"{where}: layer {i}: parameters must be finite numbers")
+        with np.errstate(over="ignore"):  # beyond float32's range is inf, rejected below
+            w, b = w.astype(np.float32), b.astype(np.float32)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ModelParseError(f"{where}: layer {i}: parameters must be finite numbers "
+                                  f"in float32")
         layers += [w, b]
     params = MlpParams(sizes)  # allocated only once the stored counts match sizes
     params.flat[:] = np.concatenate(layers)

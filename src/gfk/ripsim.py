@@ -165,8 +165,9 @@ def _measure_slice(values: np.ndarray, index: np.ndarray, noise: NoiseConfig,
     bands consume the stream as one draw over the slice does, so counts and
     generator state are those of one draw over every pixel. A band's lit
     mask compares the narrow map with each lit object id, so only the lit
-    pixels' ids are widened to gather their rates, and a slice with no lit
-    object draws no counts at all. Each band's read noise is drawn in place
+    pixels' ids are widened to gather their rates; a band with no lit pixel
+    keeps no mask and draws nothing, and neither does a slice with no lit
+    object. Each band's read noise is drawn in place
     as sigma * standard_normal, the numbers rng.normal(0, sigma) returns
     (also pinned), except that a product of -0.0 is 0.0 there; unclipped
     output adds 0.0 to match, and clipped output stores both as count 0.
@@ -179,14 +180,15 @@ def _measure_slice(values: np.ndarray, index: np.ndarray, noise: NoiseConfig,
     shot = not math.isinf(scale)
     # python ints compare with the map in its own dtype; numpy ints would widen it
     lit_ids = np.flatnonzero(values).tolist() if shot else []
-    counts = []
+    counts = [None] * len(bands)
     if lit_ids:
         rates = values * scale
-        for _, band in bands:
+        for k, (_, band) in enumerate(bands):
             lit = band == lit_ids[0]
             for i in lit_ids[1:]:
                 lit |= band == i
-            counts.append((lit, rng.poisson(np.take(rates, band[lit]))))
+            if lit.any():
+                counts[k] = (lit, rng.poisson(np.take(rates, band[lit])))
     buf = np.empty(bands[0][1].size)
     for k, (rows, band) in enumerate(bands):
         x = buf[:band.size].reshape(band.shape)
@@ -195,7 +197,7 @@ def _measure_slice(values: np.ndarray, index: np.ndarray, noise: NoiseConfig,
             x *= sigma
         else:
             x.fill(0.0)
-        if counts:
+        if counts[k] is not None:
             lit, c = counts[k]
             x[lit] += c / scale
         elif not shot:

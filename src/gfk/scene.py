@@ -30,6 +30,12 @@ Z_CLIP = 1e-3
 # a training loss loses its meaning.
 MAX_EXTENT_M = 1e4
 
+# The largest |u|, |v| and extent in pixels a 2D box read from a file may
+# hold: beyond any image a frame could be allocated for, and small enough
+# that the geometry features (a coordinate over the image size) stay far
+# inside float32, the network's dtype.
+MAX_BOX2D_PX = 1e9
+
 
 @dataclass(frozen=True)
 class ObjectClass:
@@ -128,6 +134,8 @@ class Box2D:
     score: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.u, self.v, self.w_u, self.h_v))):
+            raise ValueError(f"2D box is not finite ({self.u}, {self.v}, {self.w_u}, {self.h_v})")
         if self.w_u <= 0 or self.h_v <= 0:
             raise ValueError(f"nonpositive 2D box size ({self.w_u}, {self.h_v})")
         if not (0.0 <= self.score <= 1.0):
@@ -327,9 +335,13 @@ def box_record(b: Box3D, p: Box2D, **after_yaw) -> dict:
 
 
 def parse_box(rec, score: float = 1.0) -> tuple[Box3D, Box2D]:
-    """Inverse of box_record, giving both boxes the score; raises FieldError."""
+    """Inverse of box_record, giving both boxes the score; raises FieldError,
+    also for a 2D box beyond MAX_BOX2D_PX."""
     box = build(Box3D, rec, cls=get(rec, "class", str), score=score)
     u, v, w_u, h_v = get(rec, "box2d", tuple[float, float, float, float])
+    if abs(far := max((u, v, w_u, h_v), key=abs)) > MAX_BOX2D_PX:
+        raise FieldError(f"{far:g} px is beyond the {MAX_BOX2D_PX:g} px a 2D box may hold",
+                         "box2d")
     try:
         return box, Box2D(box.cls, u, v, w_u, h_v, score)
     except ValueError as e:

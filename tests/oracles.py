@@ -4,7 +4,8 @@ Each oracle recomputes a quantity the library produces in closed form, using
 a method that shares no code with the implementation: adaptive quadrature for
 the range-intensity profile, stratified Monte Carlo for rotated-rectangle
 IoU, threshold enumeration for average precision, and central differences
-for gradients. ratio_table and range_from_ratios look a range up from three
+for gradients, through mlp_forward_float64 where the network is concerned:
+float32 weights cannot take a finite-difference step. ratio_table and range_from_ratios look a range up from three
 slice intensities by nearest normalized ratio vector; the library has no
 such lookup, and the tests use it to check that the gates identify range.
 whole_frame_features, full_frame_render, per_kind_evaluate,
@@ -184,6 +185,17 @@ def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
         xm.flat[i] -= step
         g.flat[i] = (f(xp) - f(xm)) / (2.0 * step)
     return g
+
+
+def mlp_forward_float64(weights, biases, x: np.ndarray) -> np.ndarray:
+    """The network's output for a (B, n_in) batch, every product in float64:
+    tanh after each layer but the last, which is linear."""
+    a = np.asarray(x, dtype=np.float64)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        a = a @ np.asarray(w, dtype=np.float64).T + np.asarray(b, dtype=np.float64)
+        if i < len(weights) - 1:
+            a = np.tanh(a)
+    return a
 
 
 def whole_frame_features(slices: np.ndarray, p) -> np.ndarray:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -546,6 +547,8 @@ def test_labels_with_an_overflowing_box2d_end_cleanly(tmp_path, capsys):
     pytest.param("y", -2e4, "ParseError", id="y"),
     pytest.param("z", -5.0, "NonPositiveDepth", id="z"),
     pytest.param("box2d", [80.0, 45.0, 20.0, 1e-4], "DegenerateBox", id="box2d"),
+    pytest.param("box2d", [1.7e308, 45.0, 20.0, 10.0], "ParseError", id="box2d-far"),
+    pytest.param("box2d", [80.0, 45.0, 20.0, 2e9], "ParseError", id="box2d-tall"),
 ])
 def test_train_blames_an_overflowing_label_on_its_file(tmp_path, capsys, field, value, error):
     # the label lies beyond scene.MAX_EXTENT_M or cannot be encoded (its
@@ -566,8 +569,34 @@ def test_train_blames_an_overflowing_label_on_its_file(tmp_path, capsys, field, 
     assert main(["train", "--config", str(p)]) == 1
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"gfk-error: {error}:") and str(labels) in last
+    line = len(labels.read_text().splitlines())
+    if error == "ParseError":  # read_labels names the line and the field as well
+        assert f"{labels}:{line}: {field}: " in last
     errors = cmd_codec_check(cfg)["record_errors"]
-    assert [e["error"] for e in errors] == [error]
+    assert [(e["error"], e["line"]) for e in errors] == [(error, line)]
+
+
+def test_train_stops_on_a_label_whose_code_overflows_float32(tmp_path, capsys):
+    # du = (projected u - u) / w_u is about 1e42: finite, so encode accepts
+    # it, but beyond float32, the network's dtype
+    p = write_config(tmp_path, {"train": {"epochs": 1}})
+    cfg = load_run_config(p)
+    cmd_simulate(cfg)
+    layout = DatasetLayout(cfg.dataset_dir)
+    labels = layout.labels_path(load_manifest(layout).splits["train"][0])
+    bad = {"class": "Car", "x": 0.5, "y": 1.65, "z": 1e-20, "h": 1.5, "w": 1.8, "l": 4.3,
+           "yaw": 0.0, "box2d": [80.0, 45.0, 1e-20, 10.0], "albedo": 0.5}
+    with labels.open("a") as f:
+        f.write(json.dumps(bad) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(p)]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert re.match(r"gfk-error: NonFiniteBox: training targets: row \d+ is not finite in "
+                    r"float32$", last)
+    assert not cfg.model_path.exists()
 
 
 def test_predict_drops_boxes_that_decode_to_non_finite_values(tmp_path, caplog):
@@ -576,7 +605,11 @@ def test_predict_drops_boxes_that_decode_to_non_finite_values(tmp_path, caplog):
     cmd_simulate(cfg)
     cmd_train(cfg)
     model = json.loads(cfg.model_path.read_text())
-    model["weights"][-1] = [1e308] * len(model["weights"][-1])  # decodes to x = inf
+    # every hidden unit outputs tanh(100) = 1, and the output layer's weights
+    # are finite in float32 but sum past its range: every code is inf
+    model["weights"][0] = [0.0] * len(model["weights"][0])
+    model["biases"][0] = [100.0] * len(model["biases"][0])
+    model["weights"][-1] = [1e38] * len(model["weights"][-1])
     cfg.model_path.write_text(json.dumps(model))
     assert main(["predict", "--config", str(p)]) == 0
     assert "dropping box (NonFiniteBox)" in caplog.text
@@ -727,6 +760,28 @@ def test_cli_seed_override_changes_dataset(tmp_path):
     d5 = {k: v for k, v in tree_digest(tmp_path / "s5").items() if k.endswith(".pgm")}
     d77 = {k: v for k, v in tree_digest(tmp_path / "s77").items() if k.endswith(".pgm")}
     assert d5 != d77
+
+
+def test_trained_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a (64, 128) x (128, 128) float32 product is large enough for OpenBLAS to
+    # split across threads; the trained bytes must not depend on how it does
+    p = write_config(tmp_path, {"dataset": {"dir": str(tmp_path / "dataset"),
+                                            "frames": {"train": 30, "val": 2, "test": 0}},
+                                "scene": {"min_objects": 2, "max_objects": 4},
+                                "train": {"epochs": 4, "batch_size": 64,
+                                          "hidden_sizes": [128, 128]}})
+    assert main(["simulate", "--config", str(p)]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import gfk.io_cli, sys; sys.exit(gfk.io_cli.main("
+             f"['train', '--config', {str(p)!r}, '--out', {str(out)!r}]))"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("model.json", "metrics.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_console_script_entry_point(tmp_path):

@@ -15,6 +15,7 @@ from gfk import (
     PEDESTRIAN,
     EmptyDataset,
     ModelParseError,
+    NonFiniteBox,
     ShapeMismatch,
     TrainConfig,
     TrainingDiverged,
@@ -38,7 +39,7 @@ from gfk.regressor import (
 )
 from gfk.scene import oracle_box2d
 
-from oracles import fd_gradient, whole_frame_features
+from oracles import fd_gradient, mlp_forward_float64, whole_frame_features
 
 
 def const_frame(v1, v2, v3, h=40, w=60):
@@ -151,15 +152,16 @@ def test_forward_golden_fixture():
     # frozen output of the seed-123 (24, 16, 8) network on a linspace input;
     # guards initialization, layer order and activation choices all at once
     params = init_params(sizes=(24, 16, 8), seed=123)
-    x = np.linspace(-1.0, 1.0, 24)
+    x = np.linspace(-1.0, 1.0, 24).astype(np.float32)
     out = _forward_batch(params, x[None])[-1]
+    assert out.dtype == np.float32
     want = np.array([
-        -0.9584771298393044, 0.41252142000459335, -0.24108753652589232,
-        0.6235051740702828, -0.08140478293521536, 0.16753372492190324,
-        1.0714707510894304, 0.7571847666572764,
+        -0.9584770202636719, 0.4125213623046875, -0.24108749628067017,
+        0.6235052347183228, -0.08140477538108826, 0.1675337255001068,
+        1.0714707374572754, 0.7571847438812256,
     ])
     np.testing.assert_allclose(out, want[None], rtol=0, atol=1e-12)
-    assert float(params.weights[0].sum()) == pytest.approx(2.148295411676138, abs=1e-12)
+    assert float(params.weights[0].sum()) == pytest.approx(2.1482958793640137, abs=1e-12)
 
 
 def test_init_params_shapes_and_determinism():
@@ -179,24 +181,26 @@ def test_init_params_shapes_and_determinism():
 
 
 def test_backward_matches_finite_differences():
+    # the float32 backward pass against central differences of the same
+    # network evaluated in float64, at the float32 weights' exact values
     rng = np.random.default_rng(4)
     params = init_params(sizes=(6, 5, 8), seed=21)
-    x = rng.normal(size=(1, 6))  # a batch of one
-    tgt = rng.normal(size=(1, 7))
+    x = rng.normal(size=(1, 6)).astype(np.float32)  # a batch of one
+    tgt = rng.normal(size=(1, 7)).astype(np.float32)
     w = LossWeights()
 
-    def loss_of(params_flat_w0):
-        params.weights[0][:] = params_flat_w0.reshape(5, 6)
-        parts, _ = _loss_batch(_forward_batch(params, x)[-1], tgt, w)
+    def loss_of(w0):
+        weights = [w0.reshape(5, 6), params.weights[1]]
+        parts, _ = _loss_batch(mlp_forward_float64(weights, params.biases, x),
+                               tgt.astype(np.float64), w)
         return float(parts["total"][0])
 
     acts = _forward_batch(params, x)
     _, dout = _loss_batch(acts[-1], tgt, w)
     grads = MlpParams(params.sizes)
     _backward_batch(params, acts, dout, grads)
-    w0 = params.weights[0].copy()
-    fd = fd_gradient(loss_of, w0.ravel(), step=1e-6).reshape(5, 6)
-    params.weights[0][:] = w0
+    assert grads.flat.dtype == np.float32
+    fd = fd_gradient(loss_of, params.weights[0].ravel(), step=1e-6).reshape(5, 6)
     np.testing.assert_allclose(grads.weights[0], fd, rtol=2e-4, atol=1e-7)
 
 
@@ -236,6 +240,18 @@ def test_train_stops_on_a_non_finite_loss():
         with pytest.raises(TrainingDiverged, match=r"^loss is (inf|nan) at epoch 1, step 2$"):
             train(*small_dataset(), cfg, *NO_VAL)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_train_stops_when_the_last_step_leaves_a_non_finite_parameter():
+    # one step per epoch: its loss is finite, the update overflows float32,
+    # and no later loss would catch it
+    x, t = small_dataset()
+    cfg = TrainConfig(hidden_sizes=(16,), epochs=1, batch_size=10, learning_rate=1e200, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged,
+                           match=r"^parameters are not finite after epoch 1, step 1$"):
+            train(x, t, cfg, *NO_VAL)
 
 
 def test_train_validation_loss_reported():
@@ -284,6 +300,29 @@ def test_predict_skips_undecodable():
     assert out == []
 
 
+def test_predict_drops_a_box_whose_features_overflow_float32(caplog):
+    # u / image width is finite in float64 and beyond float32's range
+    params = init_params(sizes=(FEATURE_SIZE, 4, 8), seed=0)
+    frame = const_frame(100, 100, 100)
+    far = Box2D(cls="Car", u=1.7e308, v=20.0, w_u=10.0, h_v=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = predict(params, frame, [far, centered_box()], {"Car": CAR}, 2.0, DEFAULT_CAMERA,
+                      NO_MASK)
+    assert [pb.box2d for pb in out] == [centered_box()]
+    assert "dropping box (NonFiniteBox): features are not finite in float32" in caplog.text
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_train_rejects_a_sample_beyond_float32(which):
+    arrays = [*small_dataset(), *small_dataset()]
+    arrays[which][3, 1] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteBox, match="row 3 is not finite in float32"):
+            train(arrays[0], arrays[1], SMALL_CFG, arrays[2], arrays[3])
+
+
 def test_predict_unknown_class_skipped():
     params = init_params(sizes=(FEATURE_SIZE, 64, 64, 8), seed=0)
     frame = const_frame(100, 100, 100)
@@ -303,7 +342,8 @@ def test_model_json_roundtrip():
         assert json.loads(text)["meta"]["feature_mask"] == stored
         back, k, mask_back, classes_back = parse_model(text.encode(), "model.json")
         assert [w.shape for w in back.weights] == [w.shape for w in params.weights]
-        np.testing.assert_array_equal(back.flat, params.flat)
+        assert back.flat.dtype == np.float32
+        assert back.flat.tobytes() == params.flat.tobytes()
         assert k == 2.5
         np.testing.assert_array_equal(mask_back, mask)
         assert classes_back == classes
@@ -322,6 +362,29 @@ def test_model_parse_errors():
     bad_sizes["sizes"] = [24]
     with pytest.raises(ModelParseError):
         parse_model(json.dumps(bad_sizes).encode(), "model.json")
+
+
+@pytest.mark.parametrize("value", [1e39, 1e308, -3.5e38])
+def test_parse_model_rejects_a_parameter_beyond_float32(value):
+    model = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0), 2.0,
+                                     np.ones(FEATURE_SIZE), {"Car": CAR}))
+    model["biases"][1][3] = value  # finite in float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelParseError, match=r"^model\.json: layer 1: .*float32"):
+            parse_model(json.dumps(model).encode(), "model.json")
+
+
+def test_parse_model_rounds_float64_parameters_to_float32():
+    # a model.json written by a float64 network still loads
+    model = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0), 2.0,
+                                     np.ones(FEATURE_SIZE), {"Car": CAR}))
+    model["weights"][0][0] = 0.1
+    model["biases"][0][1] = 3  # an integer
+    params, *_ = parse_model(json.dumps(model).encode(), "model.json")
+    assert params.flat.dtype == np.float32
+    assert params.weights[0][0, 0] == np.float32(0.1) and float(params.weights[0][0, 0]) != 0.1
+    assert params.biases[0][1] == 3.0
 
 
 def test_metrics_csv_shape():

@@ -26,6 +26,7 @@ from gfk import (
 from gfk.camera import project
 from gfk.geometry import convex_intersection_area
 from gfk.scene import (
+    MAX_BOX2D_PX,
     MAX_EXTENT_M,
     LabeledObject,
     SceneDescription,
@@ -70,6 +71,15 @@ def test_box2d_validation():
         Box2D(cls="Car", u=0.0, v=0.0, w_u=0.0, h_v=10.0)
     with pytest.raises(ValueError):
         Box2D(cls="Car", u=0.0, v=0.0, w_u=10.0, h_v=10.0, score=1.5)
+
+
+@pytest.mark.parametrize("field", ["u", "v", "w_u", "h_v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_box2d_rejects_non_finite_values(field, value):
+    # a NaN size used to pass the "<= 0" check
+    box = {"cls": "Car", "u": 10.0, "v": 10.0, "w_u": 10.0, "h_v": 10.0, field: value}
+    with pytest.raises(ValueError, match="not finite"):
+        Box2D(**box)
 
 
 def test_scene_description_albedo_check():
@@ -235,6 +245,19 @@ def test_parse_label_bounds_positions_and_dimensions():
         far = rec | {field: -1.5 * MAX_EXTENT_M if field in "xy" else 1.5 * MAX_EXTENT_M}
         with pytest.raises(ParseError, match=f"^f:7: {field}: -?15000 m is beyond the 10000 m"):
             parse_label(far, "f:7")
+
+
+def test_parse_label_bounds_the_2d_box():
+    rec = json.loads(labels_to_jsonl([LabeledObject(make_box(), oracle_box2d(make_box(),
+                                                                             DEFAULT_CAMERA), 0.5)]))
+    edge = [-MAX_BOX2D_PX, MAX_BOX2D_PX, MAX_BOX2D_PX, MAX_BOX2D_PX]
+    assert parse_label(rec | {"box2d": edge}, "f:1").box2d.u == -MAX_BOX2D_PX
+    for i in range(4):
+        far = list(rec["box2d"])
+        far[i] = 1.7e308 if i > 1 else -1.5 * MAX_BOX2D_PX
+        with pytest.raises(ParseError, match=r"^f:3: box2d: -?1\.[57]e\+(09|308) px is beyond "
+                                             r"the 1e\+09 px a 2D box may hold$"):
+            parse_label(rec | {"box2d": far}, "f:3")
 
 
 def test_simulate_never_places_beyond_the_label_bound():
