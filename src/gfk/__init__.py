@@ -40,7 +40,7 @@ from .errors import (
 )
 from .eval import (ApResult, EvalConfig, EvalReport, ap_40, evaluate, iou_2d, iou_3d, iou_bev,
                    read_boxes)
-from .loss import LossWeights, smooth_l1
+from .loss import LossWeights, smooth_l1_and_grad
 from .regressor import (
     MlpParams,
     TrainConfig,

@@ -15,8 +15,10 @@ A dataset directory looks like:
 All whole-file outputs are written to a temp file and renamed into place, so
 readers never observe a half-written artifact. Every random draw descends
 from the run seed through per-frame substreams, which makes simulate, train
-and predict byte-reproducible; GFK_THREADS sets how many workers synthesize
-frames without changing the output.
+and predict byte-reproducible. In simulate, GFK_THREADS workers render frames
+while the calling thread encodes and writes them in index order; beside the
+frame being written, at most GFK_THREADS frames are rendering or waiting.
+The output does not depend on GFK_THREADS.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import logging
 import os
 import sys
 import uuid
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -44,7 +47,8 @@ from .camera import (
 )
 # read_predictions is not called here, but perfbench's tracer wraps io_cli.read_predictions.
 from .codec import K_DEFAULT, encode, decode, predictions_to_jsonl, read_predictions
-from .errors import ConfigError, EmptyDataset, FullyOutOfImage, GfkError, ParseError
+from .errors import (ConfigError, EmptyDataset, FullyOutOfImage, GfkError, NonFiniteBox,
+                     ParseError)
 from .eval import EvalConfig, EvalReport, bev_svg, evaluate, read_boxes
 from .loss import LossWeights, target_row
 from .records import FieldError, build, convert, get, parse_json, read_jsonl
@@ -393,7 +397,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         splits[split] = frame_ids[start : start + cfg.frames[split]]
         start += cfg.frames[split]
 
-    def make_frame(index: int) -> bool:
+    def render(index: int) -> tuple[bool, np.ndarray, str]:
+        """Frame index's placement warning, (3, H, W) slices and labels text."""
         fid = frame_ids[index]
         scene_rng = np.random.default_rng(_substream(cfg.seed, index, 0))
         scn = sample_scene(cfg.scene, scene_rng)
@@ -409,15 +414,25 @@ def cmd_simulate(cfg: RunConfig) -> dict:
                 logger.warning("%s: object projects outside the image, not labeling", fid)
                 continue
             labeled.append(LabeledObject(obj.box, box2d, obj.albedo))
-        fdir = layout.frame_dir(fid)
-        fdir.mkdir(parents=True, exist_ok=True)
-        for i, spath in enumerate(layout.slice_paths(fid)):
-            atomic_write_bytes(spath, pgm.encode_pgm(frame.slices[i], cfg.noise.full_scale))
-        atomic_write_text(layout.labels_path(fid), labels_to_jsonl(labeled))
-        return scn.placement_warning
+        return scn.placement_warning, frame.slices, labels_to_jsonl(labeled)
 
-    with ThreadPoolExecutor(max_workers=gfk_threads()) as pool:
-        warnings = list(pool.map(make_frame, range(total)))
+    # Workers render; this thread encodes and writes the frames in index
+    # order. Frame i + workers is submitted only once frame i has rendered,
+    # so besides the frame being written at most `workers` frames are held.
+    workers = gfk_threads()
+    warnings = 0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(render, index) for index in range(min(workers, total)))
+        for index, fid in enumerate(frame_ids):
+            warned, slices, labels_text = pending.popleft().result()
+            if index + workers < total:
+                pending.append(pool.submit(render, index + workers))
+            layout.frame_dir(fid).mkdir(exist_ok=True)
+            for spath, img in zip(layout.slice_paths(fid), slices):
+                atomic_write_bytes(spath, pgm.encode_pgm(img, cfg.noise.full_scale))
+            atomic_write_text(layout.labels_path(fid), labels_text)
+            warnings += warned
+            del slices  # free this frame before the next one arrives
 
     atomic_write_text(layout.calibration_path, calibration_to_json(cfg.scene.camera))
     atomic_write_text(layout.gates_path, gates_to_json(cfg.gates))
@@ -426,7 +441,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     return {
         "dataset_dir": str(layout.root),
         "frames": total,
-        "placement_warnings": sum(warnings),
+        "placement_warnings": warnings,
     }
 
 
@@ -450,7 +465,8 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
     x, t = [], []
     for fid in frame_ids:
         slices = layout.load_slices(fid)
-        for obj in read_labels(layout.labels_path(fid)):
+        path = layout.labels_path(fid)
+        for n, obj in enumerate(read_labels(path), 1):
             st = classes.get(obj.box.cls)
             if st is None:
                 logger.warning("%s: no stats for class %r, skipping", fid, obj.box.cls)
@@ -459,7 +475,13 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
             try:
                 t.append(target_row(encode(obj.box, obj.box2d, st, k, cam)))
             except GfkError as e:
-                raise type(e)(f"{layout.labels_path(fid)}: {e}") from None
+                raise type(e)(f"{path}: {e}") from None
+            # the network is float32 (regressor.train casts both rows)
+            with np.errstate(over="ignore"):
+                for what, row in (("feature row", x[-1]), ("frustum code", t[-1])):
+                    if not np.isfinite(row.astype(np.float32)).all():
+                        raise NonFiniteBox(f"{path}: label {n} ({obj.box.cls}): {what} is not "
+                                           f"finite in float32")
         del slices  # free this frame before the next one loads
     return np.array(x).reshape(-1, FEATURE_SIZE), np.array(t).reshape(-1, 7)
 

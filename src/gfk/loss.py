@@ -40,15 +40,14 @@ def target_row(q: FrustumCode) -> np.ndarray:
     return np.array([q.du, q.dv, q.dz, q.dh, q.dw, q.dl, math.atan2(q.sin_t, q.cos_t)])
 
 
-def smooth_l1(x, delta: float):
-    """Huber-style penalty: quadratic inside |x| < delta, linear outside."""
+def smooth_l1_and_grad(x, delta: float):
+    """Huber-style penalty, quadratic inside |x| < delta and linear outside,
+    and its derivative, both in float64 from one cast and one mask."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(np.abs(x) < delta, 0.5 * x * x / delta, np.abs(x) - 0.5 * delta)
-
-
-def smooth_l1_grad(x, delta: float):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(np.abs(x) < delta, x / delta, np.sign(x))
+    ax = np.abs(x)
+    inside = ax < delta
+    return (np.where(inside, 0.5 * x * x / delta, ax - 0.5 * delta),
+            np.where(inside, x / delta, np.sign(x)))
 
 
 def _loss_batch(pred: np.ndarray, tgt: np.ndarray, w: LossWeights):
@@ -58,8 +57,7 @@ def _loss_batch(pred: np.ndarray, tgt: np.ndarray, w: LossWeights):
     of the per-sample total.
     """
     delta = w.smooth_l1_delta
-    res = pred[:, :6] - tgt[:, :6]
-    sl1 = smooth_l1(res, delta)
+    sl1, g6 = smooth_l1_and_grad(pred[:, :6] - tgt[:, :6], delta)
     loc = sl1[:, :3].sum(axis=1)
     dim = sl1[:, 3:6].sum(axis=1)
     sin_t, cos_t = np.sin(tgt[:, 6]), np.cos(tgt[:, 6])
@@ -68,7 +66,6 @@ def _loss_batch(pred: np.ndarray, tgt: np.ndarray, w: LossWeights):
     total = w.alpha * loc + dim + w.beta * ori
 
     grad = np.empty_like(pred)
-    g6 = smooth_l1_grad(res, delta)
     grad[:, :3] = w.alpha * g6[:, :3]
     grad[:, 3:6] = g6[:, 3:6]
     grad[:, 6] = w.beta * 2.0 * ds

@@ -18,10 +18,11 @@ training targets (loss.target_row) are float64 too. The network is
 float32: its parameters, gradients, Adam moments and activations. train
 casts its feature and target matrices to float32 once, and predict casts
 each feature row at the network boundary; a row with an entry beyond
-float32's range is a NonFiniteBox. The loss takes the float32 outputs and
-targets as they are: its gradient is float32, while its smooth-L1 terms,
-and so the per-sample totals that the epoch losses sum, come out float64
-(loss.smooth_l1 casts).
+float32's range is a NonFiniteBox (io_cli.build_samples checks each
+label's rows first, so gfk train names the labels file). The loss takes the float32 outputs and
+targets as they are and widens the (B, 6) residual to float64 once: its
+smooth-L1 terms, and so the per-sample totals that the epoch losses sum,
+come out float64, and its gradient is stored back in float32.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -379,6 +381,88 @@ def test_simulate_deterministic_and_thread_invariant(tmp_path, monkeypatch):
     assert da == db
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_output_is_the_same_for_any_thread_count(tmp_path, monkeypatch, threads):
+    pa = write_config(tmp_path, {"out_dir": "a"}, name="a.json")
+    pb = write_config(tmp_path, {"out_dir": "b"}, name="b.json")
+    monkeypatch.delenv("GFK_THREADS", raising=False)
+    cmd_simulate(load_run_config(pa))
+    monkeypatch.setenv("GFK_THREADS", threads)
+    cmd_simulate(load_run_config(pb))
+    da = tree_digest(tmp_path / "a")
+    db = tree_digest(tmp_path / "b")
+    assert da == db
+
+
+class _SimulateLog:
+    """Wraps io_cli.render_frame and io_cli.atomic_write_bytes to record, in
+    order, each frame's render start and every file written."""
+
+    def __init__(self, monkeypatch, cfg, fail_frame=None):
+        total = sum(cfg.frames.values())
+        self.index_of_seed = {int(io_cli._substream(cfg.seed, i, 1).generate_state(1)[0]): i
+                              for i in range(total)}
+        self.fail_frame = fail_frame
+        self.error = RuntimeError("render failed")
+        self.lock = threading.Lock()
+        self.rendered: list[int] = []
+        self.written: list[tuple[str, str]] = []   # (directory name, file name)
+        self.waiting: set[str] = set()             # render started, first write not yet
+        self.most_waiting = 0  # the most other frames waiting when a frame's first write began
+        render, write = io_cli.render_frame, io_cli.atomic_write_bytes
+
+        def render_frame(*args, seed, **kwargs):
+            index = self.index_of_seed[seed]
+            with self.lock:
+                self.rendered.append(index)
+                self.waiting.add(f"frame_{index:06d}")
+            if index == self.fail_frame:
+                time.sleep(0.2)  # time for workers that were not held back to run ahead
+                raise self.error
+            return render(*args, seed=seed, **kwargs)
+
+        def atomic_write_bytes(path, data):
+            with self.lock:
+                self.written.append((path.parent.name, path.name))
+                if path.parent.name in self.waiting:
+                    self.waiting.remove(path.parent.name)
+                    self.most_waiting = max(self.most_waiting, len(self.waiting))
+            write(path, data)
+
+        monkeypatch.setattr(io_cli, "render_frame", render_frame)
+        monkeypatch.setattr(io_cli, "atomic_write_bytes", atomic_write_bytes)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_simulate_writes_in_frame_order_with_a_bounded_window(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("GFK_THREADS", str(threads))
+    cfg = load_run_config(write_config(tmp_path, {"dataset": {"frames": {"train": 9, "test": 3}}}))
+    log = _SimulateLog(monkeypatch, cfg)
+    cmd_simulate(cfg)
+    frame_files = ("slice_1.pgm", "slice_2.pgm", "slice_3.pgm", "labels.jsonl")
+    assert log.written == ([(f"frame_{i:06d}", name) for i in range(12) for name in frame_files]
+                           + [("dataset", "calibration.json"), ("dataset", "gates.json"),
+                              ("dataset", "manifest.json")])
+    assert sorted(log.rendered) == list(range(12))
+    # rendered frames waiting for the writer, beside the one it writes
+    assert log.most_waiting <= threads
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_simulate_stops_rendering_at_a_failed_frame(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("GFK_THREADS", str(threads))
+    cfg = load_run_config(write_config(tmp_path, {"dataset": {"frames": {"train": 9, "test": 3}}}))
+    log = _SimulateLog(monkeypatch, cfg, fail_frame=2)
+    with pytest.raises(RuntimeError) as raised:
+        cmd_simulate(cfg)
+    assert raised.value is log.error
+    layout = DatasetLayout(cfg.dataset_dir)
+    assert not layout.manifest_path.exists()
+    assert list(layout.root.rglob("*.tmp")) == []
+    assert {fid for fid, _name in log.written} == {"frame_000000", "frame_000001"}
+    assert max(log.rendered) <= 2 + threads
+
+
 def test_simulate_seed_changes_content(tmp_path):
     pa = write_config(tmp_path, {"out_dir": "a"}, name="a.json")
     pb = write_config(tmp_path, {"out_dir": "b", "seed": 6}, name="b.json")
@@ -594,8 +678,9 @@ def test_train_stops_on_a_label_whose_code_overflows_float32(tmp_path, capsys):
         assert main(["train", "--config", str(p)]) == 1
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     last = capsys.readouterr().err.splitlines()[-1]
-    assert re.match(r"gfk-error: NonFiniteBox: training targets: row \d+ is not finite in "
-                    r"float32$", last)
+    n = len(labels.read_text().splitlines())  # the bad label is the file's last
+    assert last == (f"gfk-error: NonFiniteBox: {labels}: label {n} (Car): frustum code is not "
+                    f"finite in float32")
     assert not cfg.model_path.exists()
 
 
