@@ -50,7 +50,7 @@ from .codec import K_DEFAULT, encode, decode, predictions_to_jsonl, read_predict
 from .errors import (ConfigError, EmptyDataset, FullyOutOfImage, GfkError, NonFiniteBox,
                      ParseError)
 from .eval import EvalConfig, EvalReport, bev_svg, evaluate, read_boxes
-from .loss import LossWeights, target_row
+from .loss import LossWeights
 from .records import FieldError, build, convert, get, parse_json, read_jsonl
 from .regressor import (
     FEATURE_SIZE,
@@ -184,6 +184,12 @@ def load_manifest(layout: DatasetLayout) -> Manifest:
     try:
         payload = parse_json(path.read_bytes())
         splits = get(payload, "splits", Mapping[str, tuple[str, ...]])
+        # a frame id names one directory under frames/, never a path out of it
+        for split in SPLITS:
+            for fid in splits.get(split, ()):
+                if fid in ("", ".", "..") or "/" in fid or "\\" in fid:
+                    raise ParseError(f"{path}: splits.{split}: frame id {fid!r} is not a "
+                                     f"directory name")
         return Manifest(seed=get(payload, "seed", int),
                         splits={s: list(splits.get(s, ())) for s in SPLITS},
                         classes=class_stats_from_json(get(payload, "classes", Mapping[str, dict]),
@@ -459,8 +465,9 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
                   feature_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Load frames and turn every labeled object into a training sample.
 
-    Returns the (n, FEATURE_SIZE) masked feature matrix and the (n, 7)
-    loss.target_row matrix, one row per object.
+    Returns the (n, FEATURE_SIZE) masked feature matrix and the (n, 8)
+    matrix of frustum codes that encode returns, one row per object: the
+    network trains on the code it predicts.
     """
     x, t = [], []
     for fid in frame_ids:
@@ -473,17 +480,17 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
                 continue
             x.append(extract_features(slices, obj.box2d) * feature_mask)
             try:
-                t.append(target_row(encode(obj.box, obj.box2d, st, k, cam)))
+                t.append(encode(obj.box, obj.box2d, st, k, cam))
             except GfkError as e:
                 raise type(e)(f"{path}: {e}") from None
             # the network is float32 (regressor.train casts both rows)
             with np.errstate(over="ignore"):
                 for what, row in (("feature row", x[-1]), ("frustum code", t[-1])):
-                    if not np.isfinite(row.astype(np.float32)).all():
+                    if not np.isfinite(np.array(row, dtype=np.float32)).all():
                         raise NonFiniteBox(f"{path}: label {n} ({obj.box.cls}): {what} is not "
                                            f"finite in float32")
         del slices  # free this frame before the next one loads
-    return np.array(x).reshape(-1, FEATURE_SIZE), np.array(t).reshape(-1, 7)
+    return np.array(x).reshape(-1, FEATURE_SIZE), np.array(t).reshape(-1, 8)
 
 
 def cmd_train(cfg: RunConfig) -> dict:

@@ -1,12 +1,16 @@
 """Training loss over frustum codes.
 
-Location and dimension offsets get smooth L1 penalties; the location group
-carries weight alpha. Orientation is a plain squared error on the (sin, cos)
-pair against the target angle, weighted by beta:
+Predictions and targets are both (B, 8) frustum codes (codec.FrustumCode):
+six offsets, then the (sin, cos) pair of the observation angle. Location and
+dimension offsets get smooth L1 penalties; the location group carries weight
+alpha. Orientation is a plain squared error on the (sin, cos) pair, weighted
+by beta:
 
     total = alpha * sum_{u,v,z} sl1(pred - tgt)
           + sum_{h,w,l} sl1(pred - tgt)
           + beta * ((sin - sin t')^2 + (cos - cos t')^2)
+
+where (sin t', cos t') are the target code's sin_t and cos_t.
 
 The analytic gradient with respect to all eight coefficients comes along for
 free and is what the trainer consumes.
@@ -14,12 +18,9 @@ free and is what the trainer consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .codec import FrustumCode
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,6 @@ class LossWeights:
             raise ValueError(f"smooth_l1_delta must be positive, got {self.smooth_l1_delta}")
 
 
-def target_row(q: FrustumCode) -> np.ndarray:
-    """Ground-truth row of the loss: six offsets, then the target angle."""
-    return np.array([q.du, q.dv, q.dz, q.dh, q.dw, q.dl, math.atan2(q.sin_t, q.cos_t)])
-
-
 def smooth_l1_and_grad(x, delta: float):
     """Huber-style penalty, quadratic inside |x| < delta and linear outside,
     and its derivative, both in float64 from one cast and one mask."""
@@ -51,23 +47,20 @@ def smooth_l1_and_grad(x, delta: float):
 
 
 def _loss_batch(pred: np.ndarray, tgt: np.ndarray, w: LossWeights):
-    """Vectorized loss over (B, 8) predictions and (B, 7) target_row targets.
+    """Vectorized loss over (B, 8) predicted and (B, 8) target frustum codes.
 
     Returns per-sample parts {loc, dim, ori, total} and the (B, 8) gradient
     of the per-sample total.
     """
-    delta = w.smooth_l1_delta
-    sl1, g6 = smooth_l1_and_grad(pred[:, :6] - tgt[:, :6], delta)
+    r = pred - tgt
+    sl1, g6 = smooth_l1_and_grad(r[:, :6], w.smooth_l1_delta)
     loc = sl1[:, :3].sum(axis=1)
     dim = sl1[:, 3:6].sum(axis=1)
-    sin_t, cos_t = np.sin(tgt[:, 6]), np.cos(tgt[:, 6])
-    ds, dc = pred[:, 6] - sin_t, pred[:, 7] - cos_t
-    ori = ds * ds + dc * dc
+    ori = r[:, 6] ** 2 + r[:, 7] ** 2
     total = w.alpha * loc + dim + w.beta * ori
 
     grad = np.empty_like(pred)
     grad[:, :3] = w.alpha * g6[:, :3]
     grad[:, 3:6] = g6[:, 3:6]
-    grad[:, 6] = w.beta * 2.0 * ds
-    grad[:, 7] = w.beta * 2.0 * dc
+    grad[:, 6:8] = 2.0 * w.beta * r[:, 6:8]
     return {"loc": loc, "dim": dim, "ori": ori, "total": total}, grad

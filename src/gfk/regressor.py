@@ -14,15 +14,16 @@ Forward/backward are written out by hand (tanh hidden layers, identity
 output) so training is dependency-free and exactly reproducible.
 
 Dtypes by stage: extract_features returns float64 features, and the
-training targets (loss.target_row) are float64 too. The network is
-float32: its parameters, gradients, Adam moments and activations. train
-casts its feature and target matrices to float32 once, and predict casts
-each feature row at the network boundary; a row with an entry beyond
-float32's range is a NonFiniteBox (io_cli.build_samples checks each
-label's rows first, so gfk train names the labels file). The loss takes the float32 outputs and
-targets as they are and widens the (B, 6) residual to float64 once: its
-smooth-L1 terms, and so the per-sample totals that the epoch losses sum,
-come out float64, and its gradient is stored back in float32.
+training targets are (n, 8) float64 frustum codes, the codec.encode output
+that the network learns to predict. The network is float32: its
+parameters, gradients, Adam moments and activations. train casts its
+feature and code matrices to float32 once, and predict casts each feature
+row at the network boundary; a row with an entry beyond float32's range is
+a NonFiniteBox (io_cli.build_samples checks each label's rows first, so
+gfk train names the labels file). The loss takes the float32 outputs and
+codes as they are and widens the (B, 6) offset residual to float64 once:
+its smooth-L1 terms, and so the per-sample totals that the epoch losses
+sum, come out float64, and its gradient is stored back in float32.
 """
 
 from __future__ import annotations
@@ -224,19 +225,21 @@ def train(x: np.ndarray, t: np.ndarray, cfg: TrainConfig, x_val: np.ndarray,
           t_val: np.ndarray) -> tuple[MlpParams, list[EpochStats]]:
     """Adam over minibatches of the mean per-sample loss.
 
-    x and x_val are (n, FEATURE_SIZE) feature matrices, t and t_val the
-    (n, 7) loss.target_row rows, all cast to float32 once (NonFiniteBox if
-    an entry does not fit). Deterministic for a fixed config: parameter
-    init and epoch shuffles run on seeds derived from cfg.seed. Returns the
-    trained parameters and one EpochStats per epoch (val_total is NaN when
-    the validation set is empty). Raises TrainingDiverged as soon as a
-    minibatch loss is not finite, or when the last step leaves a parameter
-    that is not.
+    x and x_val are (n, FEATURE_SIZE) feature matrices and t and t_val the
+    matching (n, 8) frustum codes (ShapeMismatch otherwise), all cast to
+    float32 once (NonFiniteBox if an entry does not fit). Deterministic for
+    a fixed config: parameter init and epoch shuffles run on seeds derived
+    from cfg.seed. Returns the trained parameters and one EpochStats per
+    epoch (val_total is NaN when the validation set is empty). Raises
+    TrainingDiverged as soon as a minibatch loss is not finite, or when the
+    last step leaves a parameter that is not.
     """
+    for what, a, b in (("training", x, t), ("validation", x_val, t_val)):
+        if a.ndim != 2 or a.shape[1] != FEATURE_SIZE or b.shape != (len(a), 8):
+            raise ShapeMismatch(f"{what} set: expected (n, {FEATURE_SIZE}) features and (n, 8) "
+                                f"frustum codes, got {a.shape} and {b.shape}")
     if len(x) == 0:
         raise EmptyDataset("no training samples")
-    if x.shape[1] != FEATURE_SIZE:
-        raise ShapeMismatch(f"features have {x.shape[1]} entries, expected {FEATURE_SIZE}")
     x, t = _float32(x, "training features"), _float32(t, "training targets")
     x_val, t_val = _float32(x_val, "validation features"), _float32(t_val, "validation targets")
 

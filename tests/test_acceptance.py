@@ -161,7 +161,8 @@ def test_loss_gradient_matches_finite_differences():
     worst = 0.0
     checked = 0
     while checked < 100:
-        tgt = np.append(rng.uniform(-1.5, 1.5, size=6), rng.uniform(-math.pi, math.pi))
+        offsets, theta = rng.uniform(-1.5, 1.5, size=6), rng.uniform(-math.pi, math.pi)
+        tgt = np.append(offsets, [math.sin(theta), math.cos(theta)])
         pred = np.concatenate([rng.uniform(-2.0, 2.0, size=6), rng.uniform(-1.5, 1.5, size=2)])
         res = np.abs(pred[:6] - tgt[:6])
         # stay away from the quadratic/linear seam of the robust loss

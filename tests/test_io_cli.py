@@ -354,6 +354,47 @@ def test_manifest_with_empty_classes_is_a_parse_error(tmp_path, capsys):
                                               "classes: at least one object class required")
 
 
+def _add_frame_id(layout, split, fid):
+    manifest = json.loads(layout.manifest_path.read_text())
+    manifest["splits"][split].append(fid)
+    layout.manifest_path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("split, fid", [
+    ("train", ""), ("val", "."), ("test", ".."), ("test", "../escaped"),
+    ("train", "frame_000000/"), ("test", "..\\escaped"),
+])
+def test_manifest_frame_id_that_is_not_a_directory_name_is_a_parse_error(tmp_path, capsys,
+                                                                         split, fid):
+    p = write_config(tmp_path)
+    cfg = load_run_config(p)
+    cmd_simulate(cfg)
+    layout = DatasetLayout(cfg.dataset_dir)
+    _add_frame_id(layout, split, fid)
+    line = f"{layout.manifest_path}: splits.{split}: frame id {fid!r} is not a directory name"
+    with pytest.raises(ParseError) as e:
+        load_manifest(layout)
+    assert str(e.value) == line
+    assert main(["train", "--config", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"gfk-error: ParseError: {line}\n")
+
+
+def test_eval_writes_nothing_outside_its_run_for_a_frame_id_with_parent_steps(tmp_path):
+    # out/ sits three levels down, so the escaping paths stay inside tmp_path
+    p = write_config(tmp_path, {"out_dir": "a/b/c/out"})
+    cfg = load_run_config(p)
+    for command in ("simulate", "train", "predict"):
+        assert main([command, "--config", str(p)]) == 0
+    layout = DatasetLayout(cfg.dataset_dir)
+    fid = "../../../escaped"
+    labels = layout.labels_path(fid)  # a/b/c/escaped/labels.jsonl
+    labels.parent.mkdir(parents=True)
+    labels.write_text("")
+    _add_frame_id(layout, "test", fid)
+    assert main(["eval", "--config", str(p), "--render-bev"]) == 1
+    assert list(tmp_path.rglob("escaped.svg")) == []
+
+
 def test_simulate_requires_clipping(tmp_path):
     p = write_config(tmp_path, {"noise": {"enable_clipping": False}})
     with pytest.raises(ConfigError, match="enable_clipping"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfk import FrustumCode, LossWeights, smooth_l1_and_grad
-from gfk.loss import _loss_batch, target_row
+from gfk.loss import _loss_batch
 
 from oracles import fd_gradient
 
@@ -48,11 +48,12 @@ def test_smooth_l1_vectorized():
     assert g == pytest.approx([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
-def make_target(**kw):
-    """A (7,) target row: du, dv, dz, dh, dw, dl, theta; zero where not given."""
-    base = dict(du=0.0, dv=0.0, dz=0.0, dh=0.0, dw=0.0, dl=0.0, theta=0.0)
+def make_target(theta=0.0, **kw):
+    """An (8,) target code: du, dv, dz, dh, dw, dl, sin theta, cos theta;
+    offsets zero where not given."""
+    base = dict(du=0.0, dv=0.0, dz=0.0, dh=0.0, dw=0.0, dl=0.0)
     base.update(kw)
-    return np.array(list(base.values()))
+    return np.array([*base.values(), math.sin(theta), math.cos(theta)])
 
 
 def loss_of_one(q: FrustumCode, t: np.ndarray, w: LossWeights = LossWeights()):
@@ -64,7 +65,7 @@ def loss_of_one(q: FrustumCode, t: np.ndarray, w: LossWeights = LossWeights()):
 def test_perfect_prediction_zero_loss():
     t = make_target(du=0.3, dz=-0.2, theta=0.8)
     q = FrustumCode(0.3, 0.0, -0.2, 0.0, 0.0, 0.0, math.sin(0.8), math.cos(0.8))
-    assert target_row(q) == pytest.approx(t, abs=1e-15)
+    assert np.array(q) == pytest.approx(t, abs=1e-15)
     parts, grad = loss_of_one(q, t)
     assert parts["total"] == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(grad, 0.0, atol=1e-12)
@@ -108,7 +109,7 @@ def test_loc_uses_alpha_dim_does_not():
 )
 def test_gradient_matches_finite_differences(pred, tvals, theta, alpha, beta, delta):
     w = LossWeights(alpha=alpha, beta=beta, smooth_l1_delta=delta)
-    t = np.array([*tvals, theta])
+    t = np.array([*tvals, math.sin(theta), math.cos(theta)])
     p = np.asarray(pred)
     # keep the smooth-l1 inputs away from the |x| = delta seam where the
     # second derivative jumps and central differences misbehave

@@ -1,7 +1,8 @@
-"""Every public name the library defines is used by the library itself.
+"""Every public name the library defines is used by the library itself,
+and every name a library module imports is loaded by that module.
 
 A name that only tests load belongs in the tests (tests/oracles.py), not in
-gfk. The scan covers the modules of src/gfk except __init__.py, whose
+gfk. The scans cover the modules of src/gfk except __init__.py, whose
 imports re-export names without using them.
 """
 
@@ -13,6 +14,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gfk"
 # perfbench/tracer.py wraps eval.iou_bev and eval.iou_3d by name to count
 # calls per IoU kind, so they stay although evaluate shares one clip per pair.
 ALLOWED = {"iou_bev", "iou_3d"}
+
+# perfbench/tracer.py wraps io_cli.read_predictions by name, so io_cli
+# imports it without calling it.
+ALLOWED_IMPORTS = {"io_cli.read_predictions"}
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def _public_definitions(tree: ast.Module, module: str) -> list[str]:
@@ -37,11 +48,8 @@ def _public_definitions(tree: ast.Module, module: str) -> list[str]:
 
 def test_every_public_name_is_loaded_by_the_library():
     defined, loaded = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        defined += _public_definitions(tree, path.stem)
+    for module, tree in _modules():
+        defined += _public_definitions(tree, module)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
@@ -50,3 +58,18 @@ def test_every_public_name_is_loaded_by_the_library():
     unused = [name for name in defined
               if name.rpartition(".")[2] not in loaded | ALLOWED]
     assert not unused, f"public names no library code loads: {unused}"
+
+
+def test_every_imported_name_is_loaded_by_its_module():
+    unused = []
+    for module, tree in _modules():
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{module}.{name}" for name in sorted(imported - loaded)
+                   if f"{module}.{name}" not in ALLOWED_IMPORTS]
+    assert not unused, f"imported names their module never loads: {unused}"

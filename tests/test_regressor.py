@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from gfk import (
     train,
 )
 from gfk.codec import encode
-from gfk.loss import LossWeights, _loss_batch, target_row
+from gfk.loss import LossWeights, _loss_batch
 from gfk.regressor import (
     FEATURE_SIZE,
     INTENSITY_FEATURES,
@@ -50,18 +51,19 @@ def centered_box(cls="Car", h=40, w=60):
     return Box2D(cls=cls, u=w / 2, v=h / 2, w_u=w / 2, h_v=h / 2)
 
 
-NO_VAL = (np.zeros((0, FEATURE_SIZE)), np.zeros((0, 7)))
+NO_VAL = (np.zeros((0, FEATURE_SIZE)), np.zeros((0, 8)))
 NO_MASK = np.ones(FEATURE_SIZE)
 
 
 def small_dataset():
-    """Ten (features, targets) rows; per row the features are drawn first,
-    then the six offsets and the angle."""
+    """Ten (features, frustum code) rows; per row the features are drawn
+    first, then the six offsets and the angle, carried as (sin, cos)."""
     rng = np.random.default_rng(2)
     x, t = [], []
     for _ in range(10):
         x.append(rng.normal(size=FEATURE_SIZE))
-        t.append(np.append(rng.normal(size=6) * 0.1, rng.uniform(-3, 3)))
+        offsets, theta = rng.normal(size=6) * 0.1, rng.uniform(-3, 3)
+        t.append(np.append(offsets, [math.sin(theta), math.cos(theta)]))
     return np.array(x), np.array(t)
 
 
@@ -186,7 +188,9 @@ def test_backward_matches_finite_differences():
     rng = np.random.default_rng(4)
     params = init_params(sizes=(6, 5, 8), seed=21)
     x = rng.normal(size=(1, 6)).astype(np.float32)  # a batch of one
-    tgt = rng.normal(size=(1, 7)).astype(np.float32)
+    offsets_and_angle = rng.normal(size=7)
+    tgt = np.append(offsets_and_angle[:6], [np.sin(offsets_and_angle[6]),
+                                            np.cos(offsets_and_angle[6])])[None].astype(np.float32)
     w = LossWeights()
 
     def loss_of(w0):
@@ -207,7 +211,7 @@ def test_backward_matches_finite_differences():
 def test_train_overfits_one_sample():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(1, FEATURE_SIZE))
-    t = np.array([[0.1, -0.2, 0.3, 0.05, -0.05, 0.1, 0.7]])
+    t = np.array([[0.1, -0.2, 0.3, 0.05, -0.05, 0.1, math.sin(0.7), math.cos(0.7)]])
     cfg = TrainConfig(hidden_sizes=(32,), epochs=300, batch_size=1,
                       learning_rate=1e-2, seed=1)
     params, history = train(x, t, cfg, *NO_VAL)
@@ -257,7 +261,8 @@ def test_train_stops_when_the_last_step_leaves_a_non_finite_parameter():
 def test_train_validation_loss_reported():
     rng = np.random.default_rng(5)
     mk = lambda n: (rng.normal(size=(n, FEATURE_SIZE)),
-                    np.tile([0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5], (n, 1)))
+                    np.tile([0.1, 0.0, 0.0, 0.0, 0.0, 0.0, math.sin(0.5), math.cos(0.5)],
+                            (n, 1)))
     cfg = TrainConfig(hidden_sizes=(8,), epochs=3, seed=0)
     params, history = train(*mk(8), cfg, *mk(4))
     assert all(math.isfinite(e.val_total) for e in history)
@@ -270,13 +275,30 @@ def test_train_empty_dataset():
         train(*NO_VAL, TrainConfig(), *NO_VAL)
 
 
+@pytest.mark.parametrize("t_shape, x_val_shape, t_val_shape, what", [
+    ((5, 7), (0, FEATURE_SIZE), (0, 8), "training"),   # angle rows, not codes
+    ((4, 8), (0, FEATURE_SIZE), (0, 8), "training"),   # one code short
+    ((6, 8), (0, FEATURE_SIZE), (0, 8), "training"),   # one code too many
+    ((5, 8), (5, FEATURE_SIZE), (1, 8), "validation"),  # one code for five rows
+    ((5, 8), (3, FEATURE_SIZE - 1), (3, 8), "validation"),
+])
+def test_train_rejects_matrices_of_the_wrong_shape(t_shape, x_val_shape, t_val_shape, what):
+    x = np.zeros((5, FEATURE_SIZE))
+    shapes = (x.shape, t_shape) if what == "training" else (x_val_shape, t_val_shape)
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            f"{what} set: expected (n, {FEATURE_SIZE}) features and (n, 8) frustum codes, "
+            f"got {shapes[0]} and {shapes[1]}")):
+        train(x, np.zeros(t_shape), TrainConfig(hidden_sizes=(4,), epochs=1, seed=0),
+              np.zeros(x_val_shape), np.zeros(t_val_shape))
+
+
 def test_predict_decodes_boxes():
     # train briefly on one real sample, then predict on its own frame
     b = Box3D(cls="Car", x=1.0, y=1.65, z=30.0, h=1.55, w=1.85, l=4.3, yaw=0.2)
     p2d = oracle_box2d(b, DEFAULT_CAMERA)
     frame = const_frame(200, 400, 100, h=720, w=1280)
     x = extract_features(frame, p2d)[None]
-    t = target_row(encode(b, p2d, CAR, 2.0, DEFAULT_CAMERA))[None]
+    t = np.array([encode(b, p2d, CAR, 2.0, DEFAULT_CAMERA)])
     params, _ = train(x, t, TrainConfig(hidden_sizes=(16,), epochs=200,
                                         learning_rate=1e-2, batch_size=1, seed=0), *NO_VAL)
     out = predict(params, frame, [p2d], {"Car": CAR}, 2.0, DEFAULT_CAMERA, NO_MASK)
@@ -390,7 +412,7 @@ def test_parse_model_rounds_float64_parameters_to_float32():
 def test_metrics_csv_shape():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, FEATURE_SIZE))
-    _, history = train(x, np.zeros((4, 7)), TrainConfig(hidden_sizes=(8,), epochs=3, seed=0),
+    _, history = train(x, np.zeros((4, 8)), TrainConfig(hidden_sizes=(8,), epochs=3, seed=0),
                        *NO_VAL)
     text = metrics_to_csv(history)
     lines = text.strip().splitlines()

@@ -4,7 +4,9 @@ tests/data/scoring_golden.json holds the SHA-256 of predictions.jsonl,
 report.json and report.csv from the simulate -> train -> predict -> eval run
 of RUN below, taken before box features, polygon clipping and AP matching
 were rewritten for speed; the predictions digest was retaken when the
-network moved to float32, which left both report digests as they were.
+network moved to float32 and again when it began training on the (sin, cos)
+frustum code instead of an angle, which both left the report digests as
+they were.
 The run has 3 to 6 objects per frame, both classes
 and every range bin, and perturbed 2D boxes, so the digests cover feature
 extraction, decoding, the BEV intersection and greedy matching.
