@@ -200,12 +200,18 @@ def load_manifest(layout: DatasetLayout) -> Manifest:
         raise ParseError(f"{path}: {e}") from None
 
 
-def frame_index(frame_id: str) -> int:
-    """The global frame number encoded in a frame id like 'frame_000042'."""
+def frame_index(frame_id: str, where: str) -> int:
+    """The global frame number encoded in a frame id like 'frame_000042':
+    the ASCII decimal digits after its last '_'. where names the manifest
+    split the id comes from."""
+    _, sep, digits = frame_id.rpartition("_")
     try:
-        return int(frame_id.rsplit("_", 1)[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"bad frame id {frame_id!r}") from None
+        if not (sep and digits.isascii() and digits.isdigit()):
+            raise ValueError(frame_id)
+        return int(digits)  # also a ValueError past int's digit limit
+    except ValueError:
+        raise ParseError(f"{where}: frame id {frame_id!r} does not end in '_' and decimal "
+                         f"digits") from None
 
 
 def _substream(seed: int, index: int, purpose: int) -> np.random.SeedSequence:
@@ -531,7 +537,8 @@ def cmd_predict(cfg: RunConfig) -> dict:
         labeled = read_labels(layout.labels_path(fid))
         boxes2d = [o.box2d for o in labeled]
         if cfg.perturb_2d > 0:
-            rng = np.random.default_rng(_substream(cfg.seed, frame_index(fid), 2))
+            index = frame_index(fid, f"{layout.manifest_path}: splits.{cfg.predict_split}")
+            rng = np.random.default_rng(_substream(cfg.seed, index, 2))
             boxes2d = [perturb_box2d(b, cfg.perturb_2d, rng) for b in boxes2d]
         for pred in predict(params, slices, boxes2d, classes, k, cam, mask):
             rows.append((fid, pred.box, pred.box2d, pred.code))

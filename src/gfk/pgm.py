@@ -73,7 +73,9 @@ def read_pgm(path: str | Path, out: np.ndarray | None = None) -> tuple[np.ndarra
     for _ in range(3):
         tok, pos = _next_token(data, pos, path)
         try:
-            fields.append(int(tok))
+            if not tok.isdigit():  # bytes.isdigit: ASCII decimal digits, all netpbm allows
+                raise ValueError(tok)
+            fields.append(int(tok))  # also a ValueError past int's digit limit
         except ValueError:
             raise ParseError(f"{path}: non-numeric header token {tok!r}") from None
     w, h, maxval = fields

@@ -24,10 +24,14 @@ gfk train names the labels file). The loss takes the float32 outputs and
 codes as they are and widens the (B, 6) offset residual to float64 once:
 its smooth-L1 terms, and so the per-sample totals that the epoch losses
 sum, come out float64, and its gradient is stored back in float32.
+model.json stores the parameters as they are: one base64 block of
+MlpParams.flat in little-endian float32, so every value, -0.0 included,
+round-trips bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -124,7 +128,7 @@ class MlpParams:
 
     def __post_init__(self) -> None:
         pairs = list(zip(self.sizes[1:], self.sizes[:-1]))  # (n_out, n_in) per layer
-        self.flat = np.zeros(sum(n_out * (n_in + 1) for n_out, n_in in pairs), np.float32)
+        self.flat = np.zeros(_parameter_count(self.sizes), np.float32)
         self.weights, self.biases = [], []
         pos = 0
         for n_out, n_in in pairs:
@@ -132,6 +136,11 @@ class MlpParams:
             pos += n_out * n_in
             self.biases.append(self.flat[pos : pos + n_out])
             pos += n_out
+
+
+def _parameter_count(sizes: Sequence[int]) -> int:
+    """Length of MlpParams.flat for these layer sizes, in Python ints."""
+    return sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
 
 
 def init_params(sizes: Sequence[int], seed: int | np.random.SeedSequence) -> MlpParams:
@@ -344,11 +353,12 @@ def predict(params: MlpParams, slices: np.ndarray, boxes2d: Sequence[Box2D],
 def model_to_json(params: MlpParams, k: float, feature_mask: np.ndarray,
                   classes: dict[str, ObjectClass]) -> str:
     """The network and the meta predict decodes with: the codec k, the feature
-    mask (null when nothing is ablated) and the class statistics."""
+    mask (null when nothing is ablated) and the class statistics. The
+    parameters are one base64 block of params.flat as little-endian float32."""
+    block = params.flat.astype("<f4", copy=False).tobytes()
     payload = {
         "sizes": list(params.sizes),
-        "weights": [w.ravel().tolist() for w in params.weights],  # row-major
-        "biases": [b.tolist() for b in params.biases],
+        "parameters": base64.b64encode(block).decode("ascii"),
         "meta": {
             "k": k,
             "feature_mask": None if np.all(feature_mask == 1.0) else feature_mask.tolist(),
@@ -362,13 +372,13 @@ def parse_model(data: bytes, where: str) -> tuple[MlpParams, float, np.ndarray,
                                                  dict[str, ObjectClass]]:
     """Inverse of model_to_json, from the file's bytes: (params, k,
     feature_mask, classes); a null or absent feature mask reads as all ones.
-    Stored weights and biases load rounded to float32, so a file written by
-    a float64 network loads too; one that overflows float32 does not."""
+    The parameter block must hold exactly the float32 count that sizes
+    implies, checked before anything that size is allocated, and every
+    value must be finite."""
     try:
         payload = parse_json(data)
         sizes = get(payload, "sizes", tuple[int, ...])
-        raw_w = get(payload, "weights", list)
-        raw_b = get(payload, "biases", list)
+        block = get(payload, "parameters", str)
         meta = get(payload, "meta", dict)
         k = get(meta, "k", float, where="meta")
         if k <= 0:
@@ -379,30 +389,23 @@ def parse_model(data: bytes, where: str) -> tuple[MlpParams, float, np.ndarray,
                                         "meta.classes")
     except FieldError as e:
         raise ModelParseError(f"{where}: {e}") from None
-    if len(sizes) < 2 or len(raw_w) != len(sizes) - 1 or len(raw_b) != len(sizes) - 1:
-        raise ModelParseError(f"{where}: layer counts do not match sizes {sizes}")
-    if sizes[0] != FEATURE_SIZE or sizes[-1] != 8 or min(sizes) <= 0:
+    if len(sizes) < 2 or sizes[0] != FEATURE_SIZE or sizes[-1] != 8 or min(sizes) <= 0:
         raise ModelParseError(f"{where}: sizes must be positive and map {FEATURE_SIZE} "
                               f"features to 8 coefficients, got {sizes}")
-    layers = []
-    for i in range(len(sizes) - 1):
-        try:
-            w, b = np.asarray(raw_w[i]), np.asarray(raw_b[i])
-        except ValueError as e:  # ragged nesting
-            raise ModelParseError(f"{where}: layer {i}: {e}") from None
-        if w.shape != (sizes[i + 1] * sizes[i],) or b.shape != (sizes[i + 1],):
-            raise ModelParseError(f"{where}: layer {i} has wrong parameter count")
-        # Weights are bulk arrays: one dtype and one finiteness check per layer.
-        if w.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
-            raise ModelParseError(f"{where}: layer {i}: parameters must be finite numbers")
-        with np.errstate(over="ignore"):  # beyond float32's range is inf, rejected below
-            w, b = w.astype(np.float32), b.astype(np.float32)
+    count = _parameter_count(sizes)
+    try:
+        raw = base64.b64decode(block, validate=True)
+    except ValueError as e:  # binascii.Error, or a character that is not ASCII
+        raise ModelParseError(f"{where}: parameters: {e}") from None
+    if len(raw) != 4 * count:
+        raise ModelParseError(f"{where}: parameters: sizes {list(sizes)} need {count} float32 "
+                              f"values ({4 * count} bytes), found {len(raw)} bytes")
+    params = MlpParams(sizes)  # allocated only once the block's length matches sizes
+    params.flat[:] = np.frombuffer(raw, "<f4")
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ModelParseError(f"{where}: layer {i}: parameters must be finite numbers "
                                   f"in float32")
-        layers += [w, b]
-    params = MlpParams(sizes)  # allocated only once the stored counts match sizes
-    params.flat[:] = np.concatenate(layers)
     return params, k, np.array(mask), classes
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -36,6 +37,7 @@ from gfk.io_cli import (
 from gfk.errors import ConfigError, EmptyDataset, ParseError
 from gfk.camera import load_calibration
 from gfk.codec import read_predictions
+from gfk.regressor import model_to_json, parse_model
 from gfk.ripsim import GateConfig, default_gates
 
 
@@ -270,9 +272,12 @@ def test_readme_names_every_subcommand_and_option():
 
 
 def test_frame_index():
-    assert frame_index("frame_000042") == 42
-    with pytest.raises(ParseError):
-        frame_index("nope")
+    assert frame_index("frame_000042", "manifest.json: splits.test") == 42
+    assert frame_index("a_b_7", "manifest.json: splits.test") == 7
+    for fid in ("nope", "frame_", "frame_-3", "frame_+4", "frame_ 7", "frame_\u0663",
+                "frame_1e3", "frame_" + "9" * 5000):
+        with pytest.raises(ParseError, match=r"^manifest\.json: splits\.test: frame id "):
+            frame_index(fid, "manifest.json: splits.test")
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +382,23 @@ def test_manifest_frame_id_that_is_not_a_directory_name_is_a_parse_error(tmp_pat
     assert str(e.value) == line
     assert main(["train", "--config", str(p)]) == 1
     assert capsys.readouterr().err.startswith(f"gfk-error: ParseError: {line}\n")
+
+
+@pytest.mark.parametrize("fid", ["frame_-3", "frame_+4", "frame_\u0663"])
+def test_predict_names_a_perturbed_frame_id_without_decimal_digits(tmp_path, capsys, fid):
+    # the frame's directory exists, but perturb seeds each frame from its id's number
+    p = write_config(tmp_path, {"train": {"epochs": 1}, "predict": {"perturb": 0.05}})
+    cfg = load_run_config(p)
+    for command in ("simulate", "train"):
+        assert main([command, "--config", str(p)]) == 0
+    layout = DatasetLayout(cfg.dataset_dir)
+    shutil.copytree(layout.frame_dir("frame_000005"), layout.frame_dir(fid))
+    _add_frame_id(layout, "test", fid)
+    capsys.readouterr()
+    assert main(["predict", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == (f"gfk-error: ParseError: {layout.manifest_path}: "
+                                       f"splits.test: frame id {fid!r} does not end in '_' and "
+                                       f"decimal digits\n")
 
 
 def test_eval_writes_nothing_outside_its_run_for_a_frame_id_with_parent_steps(tmp_path):
@@ -730,13 +752,13 @@ def test_predict_drops_boxes_that_decode_to_non_finite_values(tmp_path, caplog):
     cfg = load_run_config(p)
     cmd_simulate(cfg)
     cmd_train(cfg)
-    model = json.loads(cfg.model_path.read_text())
+    params, k, mask, classes = parse_model(cfg.model_path.read_bytes(), "model.json")
     # every hidden unit outputs tanh(100) = 1, and the output layer's weights
     # are finite in float32 but sum past its range: every code is inf
-    model["weights"][0] = [0.0] * len(model["weights"][0])
-    model["biases"][0] = [100.0] * len(model["biases"][0])
-    model["weights"][-1] = [1e38] * len(model["weights"][-1])
-    cfg.model_path.write_text(json.dumps(model))
+    params.weights[0][:] = 0.0
+    params.biases[0][:] = 100.0
+    params.weights[-1][:] = 1e38
+    cfg.model_path.write_text(model_to_json(params, k, mask, classes))
     assert main(["predict", "--config", str(p)]) == 0
     assert "dropping box (NonFiniteBox)" in caplog.text
     read_predictions(cfg.predictions_path)  # parses: no Infinity or NaN was written

@@ -88,6 +88,22 @@ def test_parse_errors(tmp_path, raw):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("raw,token", [
+    (b"P5\n1_6 2\n255\n" + bytes(32), b"1_6"),        # int() reads 16
+    (b"P5\n+16 2\n255\n" + bytes(32), b"+16"),        # int() reads 16
+    (b"P5\n16 2\n+255\n" + bytes(32), b"+255"),
+    (b"P5\n16 -2\n255\n" + bytes(32), b"-2"),
+    (b"P5\n\xd9\xa3 2\n255\n" + bytes(6), b"\xd9\xa3"),  # an Arabic-Indic digit
+    (b"P5\n16 2\n" + b"9" * 5000 + b"\n" + bytes(32), b"9" * 5000),  # past int's digit limit
+], ids=["underscore", "plus-width", "plus-maxval", "minus-height", "non-ascii", "5000-digits"])
+def test_header_numbers_are_ascii_decimal_digits(tmp_path, raw, token):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(raw)
+    with pytest.raises(ParseError) as e:
+        read_pgm(p)
+    assert str(e.value) == f"{p}: non-numeric header token {token!r}"
+
+
 def _header(w, h, maxval, sep):
     return b"P5\n%d %d\n%d" % (w, h, maxval) + sep
 

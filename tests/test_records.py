@@ -4,6 +4,7 @@ Any JSON value at any field of a label, prediction, calibration, manifest or
 model file either parses or ends as that file kind's GfkError subclass.
 """
 
+import base64
 import contextlib
 import copy
 import io
@@ -13,6 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from gfk.codec import parse_prediction, predictions_to_jsonl, read_predictions
 from gfk.errors import ModelParseError, ParseError
 from gfk.io_cli import DatasetLayout, load_manifest, main
 from gfk.records import FieldError, convert, get
-from gfk.regressor import parse_model
+from gfk.regressor import MlpParams, parse_model
 from gfk.scene import (DEFAULT_CLASSES, class_stats_to_json, labels_to_jsonl, parse_label,
                        read_labels)
 
@@ -39,12 +41,11 @@ CALIBRATION = asdict(DEFAULT_CAMERA)
 
 
 def _paths(payload, prefix=()):
-    """Every path into a JSON value: each key and list index, nested, except
-    into lists longer than 24 (the weight arrays of a model)."""
+    """Every path into a JSON value: each key and list index, nested."""
     items = payload.items() if isinstance(payload, dict) else enumerate(payload)
     for key, value in items:
         yield prefix + (key,)
-        if isinstance(value, (dict, list)) and len(value) <= 24:
+        if isinstance(value, (dict, list)):
             yield from _paths(value, prefix + (key,))
 
 
@@ -271,6 +272,17 @@ def _edit(path, value):
     return lambda model: _set(model, path, value)
 
 
+def _edit_parameter(kind, layer, index, value):
+    """Set one weight or bias of the model's parameter block."""
+    def edit(model):
+        params = MlpParams(tuple(model["sizes"]))
+        params.flat[:] = np.frombuffer(base64.b64decode(model["parameters"]), "<f4")
+        getattr(params, kind)[layer].ravel()[index] = value
+        return _set(model, ("parameters",),
+                    base64.b64encode(params.flat.astype("<f4").tobytes()).decode("ascii"))
+    return edit
+
+
 def _drop(key):
     return lambda model: _set(model, ("meta",), {k: v for k, v in model["meta"].items()
                                                  if k != key})
@@ -286,8 +298,8 @@ def _drop(key):
     (_edit(("meta", "feature_mask"), [1.0, 1.0]), "meta.feature_mask: expected 24 items, got 2"),
     (_edit(("meta", "feature_mask", 3), math.nan), "meta.feature_mask[3]: expected a finite"),
     (_edit(("meta", "feature_mask", 0), math.inf), "meta.feature_mask[0]: expected a finite"),
-    (_edit(("weights", 0, 5), math.nan), "layer 0: parameters must be finite numbers"),
-    (_edit(("biases", 1, 0), -math.inf), "layer 1: parameters must be finite numbers"),
+    (_edit_parameter("weights", 0, 5, math.nan), "layer 0: parameters must be finite numbers"),
+    (_edit_parameter("biases", 1, 0, -math.inf), "layer 1: parameters must be finite numbers"),
     (_edit(("sizes", 0), 24.9), "sizes[0]: expected an integer, got 24.9"),
     (_edit(("sizes", 1), True), "sizes[1]: expected an integer, got True"),
     (_edit(("sizes",), [24, 16, 7]), "sizes must be positive and map 24 features"),

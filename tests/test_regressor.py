@@ -1,6 +1,10 @@
+import base64
 import json
 import math
 import re
+import struct
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -355,6 +359,7 @@ def test_predict_unknown_class_skipped():
 
 def test_model_json_roundtrip():
     params = init_params(sizes=(24, 12, 8), seed=8)
+    params.biases[0][:3] = [-0.0, 1e-45, -3.4028235e38]  # signed zero, subnormal, float32 min
     classes = {"Car": CAR, "Pedestrian": PEDESTRIAN}
     ablated = np.ones(FEATURE_SIZE)
     ablated[INTENSITY_FEATURES] = 0.0
@@ -371,42 +376,153 @@ def test_model_json_roundtrip():
         assert classes_back == classes
 
 
+def test_model_json_parameters_are_one_little_endian_float32_block():
+    params = init_params(sizes=(24, 4, 8), seed=0)
+    model = json.loads(model_to_json(params, 2.0, NO_MASK, {"Car": CAR}))
+    assert list(model) == ["sizes", "parameters", "meta"]
+    raw = base64.b64decode(model["parameters"], validate=True)
+    assert raw == b"".join(struct.pack("<f", v) for v in params.flat.tolist())
+    assert raw[:4 * 96] == params.weights[0].astype("<f4").tobytes()  # layer 0, row-major
+
+
+def _model(edit=None, block=None):
+    """A model.json payload for sizes (24, 4, 8) whose parameter block is
+    edited: edit takes the MlpParams before they are written, block the
+    written bytes."""
+    params = init_params(sizes=(24, 4, 8), seed=0)
+    if edit is not None:
+        edit(params)
+    model = json.loads(model_to_json(params, 2.0, NO_MASK, {"Car": CAR}))
+    if block is not None:
+        model["parameters"] = base64.b64encode(
+            block(base64.b64decode(model["parameters"]))).decode("ascii")
+    return model
+
+
+def _parse(model):
+    return parse_model(json.dumps(model).encode(), "model.json")
+
+
 def test_model_parse_errors():
     with pytest.raises(ModelParseError):
         parse_model(b"not json", "model.json")
-    text = model_to_json(init_params(sizes=(24, 4, 8), seed=0), 2.0, np.ones(FEATURE_SIZE),
-                         {"Car": CAR})
-    good = json.loads(text)
-    good["weights"][0] = good["weights"][0][:-1]  # truncate the flat weight list
     with pytest.raises(ModelParseError):
-        parse_model(json.dumps(good).encode(), "model.json")
-    bad_sizes = json.loads(text)
+        _parse(_model(block=lambda raw: raw[:-4]))  # one float short of the sizes
+    bad_sizes = _model()
     bad_sizes["sizes"] = [24]
     with pytest.raises(ModelParseError):
-        parse_model(json.dumps(bad_sizes).encode(), "model.json")
+        _parse(bad_sizes)
+
+
+@pytest.mark.parametrize("block,found", [
+    (lambda raw: raw[:-4], 556), (lambda raw: raw + bytes(4), 564), (lambda raw: raw[:-1], 559),
+    (lambda raw: b"", 0),
+], ids=["one-short", "one-long", "one-byte-short", "empty"])
+def test_parse_model_rejects_a_block_of_the_wrong_length(block, found):
+    with pytest.raises(ModelParseError) as e:
+        _parse(_model(block=block))
+    assert str(e.value) == (f"model.json: parameters: sizes [24, 4, 8] need 140 float32 values "
+                            f"(560 bytes), found {found} bytes")
+
+
+@pytest.mark.parametrize("text", [
+    "AAAA!AAA",       # a character outside the base64 alphabet
+    "AAAA AAA",       # whitespace is outside it too
+    "AAAAAA",         # missing padding
+    "AAAAAA=",        # short padding
+    "AAAA====",       # excess padding
+    "AA=A",           # padding inside the data
+    "AAAA\u00e9AAA",  # a character that is not ASCII
+    "AAAA-_AA",       # the URL-safe alphabet
+])
+def test_parse_model_rejects_a_block_that_is_not_strict_base64(text):
+    model = _model()
+    model["parameters"] = json.loads(f'"{text}"')
+    with pytest.raises(ModelParseError, match=r"^model\.json: parameters: "):
+        _parse(model)
+
+
+@pytest.mark.parametrize("value", [[], 0, None, [0.0] * 140, {"data": ""}],
+                         ids=["empty-list", "int", "null", "numbers", "object"])
+def test_parse_model_rejects_parameters_that_are_not_a_string(value):
+    model = _model()
+    model["parameters"] = value
+    with pytest.raises(ModelParseError, match=r"^model\.json: parameters: "):
+        _parse(model)
+
+
+def test_parse_model_checks_the_block_length_before_allocating_the_network():
+    model = _model()
+    model["sizes"] = [24, 10**9, 8]  # 3.3e10 parameters, 132 GB of float32
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ModelParseError, match=r"need 33000000008 float32 values .* found 560 "
+                                                  r"bytes$"):
+            _parse(model)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("value", [1e39, 1e308, -3.5e38])
 def test_parse_model_rejects_a_parameter_beyond_float32(value):
-    model = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0), 2.0,
-                                     np.ones(FEATURE_SIZE), {"Car": CAR}))
-    model["biases"][1][3] = value  # finite in float64
+    # a value beyond float32's range can only be stored as its infinity
+    def edit(params):
+        with np.errstate(over="ignore"):
+            params.biases[1][3] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ModelParseError, match=r"^model\.json: layer 1: .*float32"):
-            parse_model(json.dumps(model).encode(), "model.json")
+            _parse(_model(edit=edit))
 
 
-def test_parse_model_rounds_float64_parameters_to_float32():
-    # a model.json written by a float64 network still loads
-    model = json.loads(model_to_json(init_params(sizes=(24, 4, 8), seed=0), 2.0,
-                                     np.ones(FEATURE_SIZE), {"Car": CAR}))
-    model["weights"][0][0] = 0.1
-    model["biases"][0][1] = 3  # an integer
-    params, *_ = parse_model(json.dumps(model).encode(), "model.json")
-    assert params.flat.dtype == np.float32
-    assert params.weights[0][0, 0] == np.float32(0.1) and float(params.weights[0][0, 0]) != 0.1
-    assert params.biases[0][1] == 3.0
+NON_FINITE_BITS = {"nan": 0x7FC00000, "signalling-nan": 0x7F800001, "negative-nan": 0xFFC00000,
+                   "inf": 0x7F800000, "-inf": 0xFF800000}
+
+
+@pytest.mark.parametrize("bits", NON_FINITE_BITS.values(), ids=NON_FINITE_BITS.keys())
+@pytest.mark.parametrize("layer,offset", [(0, 0), (0, 95), (0, 96 + 3), (1, 100), (1, 139)],
+                         ids=["weight0-first", "weight0-last", "bias0", "weight1", "bias1-last"])
+def test_parse_model_names_the_layer_of_a_non_finite_parameter(bits, layer, offset):
+    # sizes (24, 4, 8): layer 0 is flat[0:100] (96 weights, 4 biases), layer 1 flat[100:140]
+    def block(raw):
+        return raw[:4 * offset] + struct.pack("<I", bits) + raw[4 * offset + 4:]
+    with pytest.raises(ModelParseError, match=f"^model\\.json: layer {layer}: parameters must "
+                                              f"be finite numbers"):
+        _parse(_model(block=block))
+
+
+def test_parse_model_rejects_a_float64_era_file():
+    # weights and biases as per-layer lists of numbers: no longer read
+    params = init_params(sizes=(24, 4, 8), seed=0)
+    model = _model()
+    del model["parameters"]
+    model["weights"] = [w.ravel().tolist() for w in params.weights]
+    model["biases"] = [b.tolist() for b in params.biases]
+    with pytest.raises(ModelParseError,
+                       match=r"^model\.json: parameters: required field missing$"):
+        _parse(model)
+
+
+def test_model_json_stays_a_block_of_the_network_size():
+    # base64 of the raw block plus at most 2 KB of sizes and meta; parsing
+    # holds at most four copies of the block at once
+    params = init_params(sizes=(24, 128, 128, 8), seed=0)
+    block_bytes = 4 * params.flat.size
+    data = model_to_json(params, 2.0, NO_MASK, {"Car": CAR, "Pedestrian": PEDESTRIAN}).encode()
+    assert len(data) <= math.ceil(4 * block_bytes / 3) + 2048
+    tracemalloc.start()
+    try:
+        back, *_ = parse_model(data, "model.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.flat.tobytes() == params.flat.tobytes()
+    assert peak < 4 * block_bytes
 
 
 def test_metrics_csv_shape():
