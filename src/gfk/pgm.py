@@ -1,16 +1,23 @@
 """Binary PGM (P5) read/write for gated slices.
 
-Slices are stored with maxval noise.full_scale; any maxval above 255 uses two
-bytes per pixel, most significant byte first, per the netpbm convention.
+A frame's three slices are stored as one image, stacked top to bottom, with
+maxval noise.full_scale; any maxval above 255 uses two bytes per pixel, most
+significant byte first, per the netpbm convention.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
+
+# read_pgm converts a 16-bit raster in place, this many pixels at a time:
+# numpy copies an overlapping source before converting it, and a copy of
+# this size reuses one small block where a whole-frame copy maps fresh pages.
+CONVERT_PIXELS = 1 << 15
 
 
 def encode_pgm(image: np.ndarray, maxval: int) -> bytearray:
@@ -55,17 +62,16 @@ def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     start = pos
     while pos < n and not data[pos : pos + 1].isspace():
         pos += 1
-    return data[start:pos], pos
+    return bytes(data[start:pos]), pos
 
 
-def read_pgm(path: str | Path, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Read a binary PGM; returns (image, maxval) with dtype uint8 or uint16.
-
-    With out, the raster is converted into out and out is returned; a file
-    whose size or depth differs from out's shape and dtype raises ParseError.
-    """
+def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
+    """Read a binary PGM; returns (image, maxval) with dtype uint8 or uint16."""
     path = Path(path)
-    data = path.read_bytes()
+    with path.open("rb") as f:
+        # one writable buffer for the file, so the raster converts in place
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        del data[f.readinto(data):]
     magic, pos = _next_token(data, 0, path)
     if magic != b"P5":
         raise ParseError(f"{path}: not a binary PGM (magic {magic!r})")
@@ -87,15 +93,13 @@ def read_pgm(path: str | Path, out: np.ndarray | None = None) -> tuple[np.ndarra
     if len(data) - pos != n_bytes:
         raise ParseError(f"{path}: expected {n_bytes} raster bytes for {w}x{h} pixels, "
                          f"found {max(len(data) - pos, 0)}")
-    raster = np.frombuffer(data, dtype=dtype, offset=pos).reshape(h, w)
-    if out is None:
-        image = raster.astype(np.uint16) if maxval > 255 else raster
-    elif out.shape == (h, w) and out.dtype == dtype.newbyteorder("="):
-        image = out
-        image[...] = raster
-    else:
-        raise ParseError(f"{path}: {w}x{h} {dtype.itemsize * 8}-bit raster, expected "
-                         f"{out.shape[1]}x{out.shape[0]} {out.dtype.itemsize * 8}-bit")
+    raster = np.frombuffer(data, dtype=dtype, offset=pos)
+    if maxval > 255:
+        native = raster.view(np.uint16)
+        for i in range(0, raster.size, CONVERT_PIXELS):
+            native[i : i + CONVERT_PIXELS] = raster[i : i + CONVERT_PIXELS]
+        raster = native
+    image = raster.reshape(h, w)
     if image.max(initial=0) > maxval:
         raise ParseError(f"{path}: pixel exceeds declared maxval {maxval}")
     return image, maxval

@@ -36,6 +36,15 @@ MAX_EXTENT_M = 1e4
 # inside float32, the network's dtype.
 MAX_BOX2D_PX = 1e9
 
+# Two footprints whose bounding circles lie farther apart than the sum of
+# their radii times this factor are disjoint with room to spare for rounding:
+# their intersection would read 0.0, so placement does not clip them.
+CIRCLES_APART = 1.0 + 1e-9
+
+
+def _circles_apart(x1: float, z1: float, r1: float, x2: float, z2: float, r2: float) -> bool:
+    return math.hypot(x1 - x2, z1 - z2) > (r1 + r2) * CIRCLES_APART
+
 
 @dataclass(frozen=True)
 class ObjectClass:
@@ -229,7 +238,7 @@ def sample_scene(cfg: SceneConfig, rng: np.random.Generator) -> SceneDescription
     cam = cfg.camera
     n = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
     objects: list[SceneObject] = []
-    footprints: list[np.ndarray] = []
+    footprints: list[tuple[float, float, float, np.ndarray]] = []  # x, z, radius, corners
     warning = False
     for _ in range(n):
         for _ in range(cfg.max_retries):
@@ -249,10 +258,13 @@ def sample_scene(cfg: SceneConfig, rng: np.random.Generator) -> SceneDescription
                 y += float(rng.uniform(-cfg.ground_y_jitter, cfg.ground_y_jitter))
             box = Box3D(cls.name, x, y, z, h, w, length, yaw)
             corners = box.bev_corners()
-            if all(convex_intersection_area(corners, c) == 0.0 for c in footprints):
+            radius = 0.5 * math.hypot(w, length)
+            if all(_circles_apart(x, z, radius, fx, fz, fr)
+                   or convex_intersection_area(corners, fc) == 0.0
+                   for fx, fz, fr, fc in footprints):
                 albedo = float(rng.uniform(*cfg.albedo_range))
                 objects.append(SceneObject(box, albedo))
-                footprints.append(corners)
+                footprints.append((x, z, radius, corners))
                 break
         else:
             warning = True

@@ -271,6 +271,21 @@ def test_readme_names_every_subcommand_and_option():
     assert [n for n in names if not re.search(rf"(?<![\w-]){re.escape(n)}(?![\w-])", readme)] == []
 
 
+def test_readme_dataset_format_names_every_file_simulate_writes(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Dataset format\n", 1)[1].split("\n## ", 1)[0]
+    cfg = load_run_config(write_config(tmp_path, {"dataset": {"frames": {"train": 1, "val": 1,
+                                                                         "test": 1}}}))
+    cmd_simulate(cfg)
+    ids = [fid for split in load_manifest(DatasetLayout(cfg.dataset_dir)).splits.values()
+           for fid in split]
+    same_frame = re.compile("|".join(map(re.escape, ids)))
+    names = {same_frame.sub("<id>", p.relative_to(cfg.dataset_dir).as_posix())
+             for p in cfg.dataset_dir.rglob("*") if p.is_file()}
+    assert "frames/<id>.pgm" in names
+    assert sorted(n for n in names if f"`{n}`" not in section) == []
+
+
 def test_frame_index():
     assert frame_index("frame_000042", "manifest.json: splits.test") == 42
     assert frame_index("a_b_7", "manifest.json: splits.test") == 7
@@ -298,6 +313,9 @@ def test_simulate_layout_and_manifest(tmp_path):
         arr = layout.load_slices(fid)
         assert arr.shape == (3, 90, 160)
         assert layout.labels_path(fid).exists()
+    # one stacked PGM and one labels file per frame, and nothing else
+    assert sorted(p.name for p in layout.frames_dir.iterdir()) == [
+        f"frame_{i:06d}{ext}" for i in range(7) for ext in (".jsonl", ".pgm")]
     assert load_calibration(layout.calibration_path) == cfg.scene.camera
     gates = json.loads(layout.gates_path.read_text())
     assert tuple(GateConfig(**rec) for rec in gates) == cfg.gates
@@ -386,13 +404,14 @@ def test_manifest_frame_id_that_is_not_a_directory_name_is_a_parse_error(tmp_pat
 
 @pytest.mark.parametrize("fid", ["frame_-3", "frame_+4", "frame_\u0663"])
 def test_predict_names_a_perturbed_frame_id_without_decimal_digits(tmp_path, capsys, fid):
-    # the frame's directory exists, but perturb seeds each frame from its id's number
+    # the frame's files exist, but perturb seeds each frame from its id's number
     p = write_config(tmp_path, {"train": {"epochs": 1}, "predict": {"perturb": 0.05}})
     cfg = load_run_config(p)
     for command in ("simulate", "train"):
         assert main([command, "--config", str(p)]) == 0
     layout = DatasetLayout(cfg.dataset_dir)
-    shutil.copytree(layout.frame_dir("frame_000005"), layout.frame_dir(fid))
+    shutil.copyfile(layout.slices_path("frame_000005"), layout.slices_path(fid))
+    shutil.copyfile(layout.labels_path("frame_000005"), layout.labels_path(fid))
     _add_frame_id(layout, "test", fid)
     capsys.readouterr()
     assert main(["predict", "--config", str(p)]) == 1
@@ -409,8 +428,7 @@ def test_eval_writes_nothing_outside_its_run_for_a_frame_id_with_parent_steps(tm
         assert main([command, "--config", str(p)]) == 0
     layout = DatasetLayout(cfg.dataset_dir)
     fid = "../../../escaped"
-    labels = layout.labels_path(fid)  # a/b/c/escaped/labels.jsonl
-    labels.parent.mkdir(parents=True)
+    labels = layout.labels_path(fid)  # a/b/c/escaped.jsonl
     labels.write_text("")
     _add_frame_id(layout, "test", fid)
     assert main(["eval", "--config", str(p), "--render-bev"]) == 1
@@ -469,7 +487,7 @@ class _SimulateLog:
         self.error = RuntimeError("render failed")
         self.lock = threading.Lock()
         self.rendered: list[int] = []
-        self.written: list[tuple[str, str]] = []   # (directory name, file name)
+        self.written: list[str] = []               # paths relative to the dataset
         self.waiting: set[str] = set()             # render started, first write not yet
         self.most_waiting = 0  # the most other frames waiting when a frame's first write began
         render, write = io_cli.render_frame, io_cli.atomic_write_bytes
@@ -486,9 +504,9 @@ class _SimulateLog:
 
         def atomic_write_bytes(path, data):
             with self.lock:
-                self.written.append((path.parent.name, path.name))
-                if path.parent.name in self.waiting:
-                    self.waiting.remove(path.parent.name)
+                self.written.append(path.relative_to(cfg.dataset_dir).as_posix())
+                if path.stem in self.waiting:
+                    self.waiting.remove(path.stem)
                     self.most_waiting = max(self.most_waiting, len(self.waiting))
             write(path, data)
 
@@ -502,10 +520,9 @@ def test_simulate_writes_in_frame_order_with_a_bounded_window(tmp_path, monkeypa
     cfg = load_run_config(write_config(tmp_path, {"dataset": {"frames": {"train": 9, "test": 3}}}))
     log = _SimulateLog(monkeypatch, cfg)
     cmd_simulate(cfg)
-    frame_files = ("slice_1.pgm", "slice_2.pgm", "slice_3.pgm", "labels.jsonl")
-    assert log.written == ([(f"frame_{i:06d}", name) for i in range(12) for name in frame_files]
-                           + [("dataset", "calibration.json"), ("dataset", "gates.json"),
-                              ("dataset", "manifest.json")])
+    assert log.written == ([f"frames/frame_{i:06d}{ext}" for i in range(12)
+                            for ext in (".pgm", ".jsonl")]
+                           + ["calibration.json", "gates.json", "manifest.json"])
     assert sorted(log.rendered) == list(range(12))
     # rendered frames waiting for the writer, beside the one it writes
     assert log.most_waiting <= threads
@@ -522,7 +539,8 @@ def test_simulate_stops_rendering_at_a_failed_frame(tmp_path, monkeypatch, threa
     layout = DatasetLayout(cfg.dataset_dir)
     assert not layout.manifest_path.exists()
     assert list(layout.root.rglob("*.tmp")) == []
-    assert {fid for fid, _name in log.written} == {"frame_000000", "frame_000001"}
+    assert log.written == [f"frames/frame_{i:06d}{ext}" for i in range(2)
+                           for ext in (".pgm", ".jsonl")]
     assert max(log.rendered) <= 2 + threads
 
 
@@ -670,7 +688,7 @@ def test_labels_with_an_overflowing_box2d_end_cleanly(tmp_path, capsys):
     cmd_train(cfg)
     bad = {"class": "Car", "x": 0.5, "y": 1.65, "z": 20.0, "h": 1.5, "w": 1.8, "l": 4.3,
            "yaw": 0.0, "box2d": [1.7e308, 10.0, 1.7e308, 5.0], "albedo": 0.5}
-    for labels in DatasetLayout(cfg.dataset_dir).frames_dir.glob("*/labels.jsonl"):
+    for labels in DatasetLayout(cfg.dataset_dir).frames_dir.glob("*.jsonl"):
         with labels.open("a") as f:
             f.write(json.dumps(bad) + "\n")
     runs = [["predict", "--config", str(p)],
@@ -783,50 +801,79 @@ def test_predict_bad_meta_classes_is_model_parse_error(tmp_path, capsys, edit):
     assert "meta.classes" in err
 
 
-def _write_frame(layout, fid, maxvals, shapes=((4, 6),) * 3):
-    layout.frame_dir(fid).mkdir(parents=True)
-    rng = np.random.default_rng(0)
-    for p, maxval, shape in zip(layout.slice_paths(fid), maxvals, shapes):
-        img = rng.integers(0, maxval + 1, size=shape).astype(np.uint16)
-        p.write_bytes(pgm.encode_pgm(img, maxval))
+def _write_frame(layout, fid, maxval, rows=12, width=6):
+    """A frame PGM of random pixels, rows x width; returns its image."""
+    layout.frames_dir.mkdir(parents=True, exist_ok=True)
+    img = np.random.default_rng(0).integers(0, maxval + 1, size=(rows, width)).astype(np.uint16)
+    layout.slices_path(fid).write_bytes(pgm.encode_pgm(img, maxval))
+    return img
 
 
 @pytest.mark.parametrize("maxval", [255, 1023])
 def test_load_slices_equals_the_stacked_slices(tmp_path, maxval):
     layout = DatasetLayout(tmp_path)
-    _write_frame(layout, "f", (maxval,) * 3)
-    want = np.stack([pgm.read_pgm(p)[0] for p in layout.slice_paths("f")])
+    img = _write_frame(layout, "f", maxval)
     got = layout.load_slices("f")
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == (3, 4, 6)
+    assert got.dtype == (np.uint8 if maxval == 255 else np.uint16)
+    # slice k is the k-th band of rows, top to bottom
+    for k in range(3):
+        assert np.array_equal(got[k], img[4 * k : 4 * k + 4])
 
 
-@pytest.mark.parametrize("maxvals, shapes", [
-    ((1023, 255, 1023), ((4, 6),) * 3),
-    ((255, 1023, 1023), ((4, 6),) * 3),
-    ((1023,) * 3, ((4, 6), (4, 6), (6, 4))),
-], ids=["16-then-8-bit", "8-then-16-bit", "shapes"])
-def test_load_slices_rejects_slices_of_another_size_or_depth(tmp_path, maxvals, shapes):
+@pytest.mark.parametrize("rows", [1, 2, 13])
+def test_load_slices_rejects_a_frame_whose_height_is_not_three_slices(tmp_path, rows):
     layout = DatasetLayout(tmp_path)
-    _write_frame(layout, "f", maxvals, shapes)
+    _write_frame(layout, "f", 1023, rows=rows)
     with pytest.raises(ParseError) as err:
         layout.load_slices("f")
-    assert str(layout.frame_dir("f")) in str(err.value)
+    assert str(err.value) == (f"{layout.slices_path('f')}: height {rows} is not three slices "
+                              f"of equal height")
 
 
-def test_load_slices_reads_each_slice_through_the_pgm_module(tmp_path, monkeypatch):
+def test_load_slices_reads_the_frame_with_one_pgm_read_and_no_copy(tmp_path, monkeypatch):
     # perfbench counts PGM reads by wrapping the module attribute
     layout = DatasetLayout(tmp_path)
-    _write_frame(layout, "f", (1023,) * 3)
+    _write_frame(layout, "f", 1023)
     seen, read = [], pgm.read_pgm
 
     def counting(path, *args, **kwargs):
-        seen.append(path)
-        return read(path, *args, **kwargs)
+        out = read(path, *args, **kwargs)
+        seen.append((path, out[0]))
+        return out
 
     monkeypatch.setattr(pgm, "read_pgm", counting)
-    layout.load_slices("f")
-    assert seen == list(layout.slice_paths("f"))
+    got = layout.load_slices("f")
+    assert [path for path, _image in seen] == [layout.slices_path("f")]
+    assert np.shares_memory(got, seen[0][1])
+
+
+def _to_directory_per_frame(layout, fid):
+    """Rewrite a frame into the earlier frames/<id>/slice_k.pgm layout."""
+    slices = layout.load_slices(fid)
+    d = layout.frames_dir / fid
+    d.mkdir()
+    for k, img in enumerate(slices, 1):
+        (d / f"slice_{k}.pgm").write_bytes(pgm.encode_pgm(img, 1023))
+    layout.labels_path(fid).rename(d / "labels.jsonl")
+    layout.slices_path(fid).unlink()
+
+
+def test_train_and_predict_name_the_missing_frame_of_a_directory_per_frame_dataset(tmp_path,
+                                                                                  capsys):
+    p = write_config(tmp_path, {"train": {"epochs": 1}})
+    cfg = load_run_config(p)
+    for command in ("simulate", "train"):
+        assert main([command, "--config", str(p)]) == 0
+    layout = DatasetLayout(cfg.dataset_dir)
+    for fid in (f for split in load_manifest(layout).splits.values() for f in split):
+        _to_directory_per_frame(layout, fid)
+    for command, fid in (("train", "frame_000000"), ("predict", "frame_000005")):
+        capsys.readouterr()
+        assert main([command, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gfk-error: ") and err.count("\n") == 1, err
+        assert f"{fid}.pgm" in err and "Traceback" not in err
 
 
 def test_atomic_write_no_temp_left(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gfk import pgm
 from gfk.errors import ParseError
 from gfk.pgm import encode_pgm, read_pgm
 
@@ -16,6 +17,20 @@ def test_roundtrip_uint16(tmp_path):
     back, maxval = read_pgm(p)
     assert maxval == 1023
     assert back.dtype == np.uint16
+    np.testing.assert_array_equal(back, img)
+
+
+@pytest.mark.parametrize("maxval", [1023, 65535])
+@pytest.mark.parametrize("shape", [(999, 40), (270, 160), (2, 32769)])
+def test_sixteen_bit_raster_converts_in_place_over_several_bands(tmp_path, monkeypatch, shape,
+                                                                 maxval):
+    # (999, 40) puts the raster at an odd offset; 2 x 32769 ends in a 2-pixel band
+    monkeypatch.setattr(pgm, "CONVERT_PIXELS", 1 << 12)
+    img = np.random.default_rng(1).integers(0, maxval + 1, size=shape, dtype=np.uint16)
+    p = tmp_path / "bands.pgm"
+    p.write_bytes(encode_pgm(img, maxval))
+    back, _maxval = read_pgm(p)
+    assert back.dtype == np.uint16 and back.flags.writeable
     np.testing.assert_array_equal(back, img)
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from gfk import (
     BehindCamera,
@@ -24,13 +24,15 @@ from gfk import (
     sample_scene,
 )
 from gfk.camera import project
-from gfk.geometry import convex_intersection_area
+from gfk.geometry import convex_intersection_area, rect_corners
 from gfk.scene import (
+    CIRCLES_APART,
     MAX_BOX2D_PX,
     MAX_EXTENT_M,
     LabeledObject,
     SceneDescription,
     SceneObject,
+    _circles_apart,
     _trunc_normal,
     labels_to_jsonl,
     parse_label,
@@ -128,6 +130,27 @@ def test_sample_scene_objects_bev_disjoint():
             for j in range(i + 1, len(boxes)):
                 inter = convex_intersection_area(boxes[i].bev_corners(), boxes[j].bev_corners())
                 assert inter == 0.0
+
+
+@given(x=st.floats(-1e3, 1e3), z=st.floats(0.5, 1e4), theta=st.floats(-math.pi, math.pi),
+       w1=st.floats(0.01, 30.0), l1=st.floats(0.01, 30.0), yaw1=st.floats(-math.pi, math.pi),
+       w2=st.floats(0.01, 30.0), l2=st.floats(0.01, 30.0), yaw2=st.floats(-math.pi, math.pi),
+       spare=st.floats(0.0, 1e-6), corners_meet=st.booleans())
+@example(x=0.0, z=50.0, theta=0.3, w1=1.8, l1=4.3, yaw1=0.0, w2=0.6, l2=0.8, yaw2=0.0,
+         spare=0.0, corners_meet=True)
+def test_footprints_whose_bounding_circles_are_apart_do_not_intersect(
+        x, z, theta, w1, l1, yaw1, w2, l2, yaw2, spare, corners_meet):
+    # sample_scene places such a pair without clipping: the area must read 0.0
+    r1, r2 = 0.5 * math.hypot(w1, l1), 0.5 * math.hypot(w2, l2)
+    d = (r1 + r2) * CIRCLES_APART * (1.0 + spare)
+    x2, z2 = x + d * math.cos(theta), z + d * math.sin(theta)
+    if corners_meet:  # a corner of each on the line between the centers, facing the other
+        yaw1 = math.atan2(w1, l1) - theta
+        yaw2 = math.atan2(w2, l2) - theta - math.pi
+    assume(_circles_apart(x, z, r1, x2, z2, r2))
+    a, b = rect_corners(x, z, w1, l1, yaw1), rect_corners(x2, z2, w2, l2, yaw2)
+    assert convex_intersection_area(a, b) == 0.0
+    assert convex_intersection_area(b, a) == 0.0
 
 
 def test_sample_scene_deterministic():
