@@ -194,20 +194,6 @@ def load_manifest(layout: DatasetLayout) -> Manifest:
         raise ParseError(f"{path}: {e}") from None
 
 
-def frame_index(frame_id: str, where: str) -> int:
-    """The global frame number encoded in a frame id like 'frame_000042':
-    the ASCII decimal digits after its last '_'. where names the manifest
-    split the id comes from."""
-    _, sep, digits = frame_id.rpartition("_")
-    try:
-        if not (sep and digits.isascii() and digits.isdigit()):
-            raise ValueError(frame_id)
-        return int(digits)  # also a ValueError past int's digit limit
-    except ValueError:
-        raise ParseError(f"{where}: frame id {frame_id!r} does not end in '_' and decimal "
-                         f"digits") from None
-
-
 def _substream(seed: int, index: int, purpose: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, index, purpose])
 
@@ -395,6 +381,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     # Zero frames is legal: the manifest is still written, with empty splits.
     total = sum(cfg.frames.values())
     layout = DatasetLayout(cfg.dataset_dir)
+    # without a manifest, an interrupted run leaves a dataset no command reads
+    layout.manifest_path.unlink(missing_ok=True)
     layout.frames_dir.mkdir(parents=True, exist_ok=True)
 
     frame_ids = [f"frame_{index:06d}" for index in range(total)]
@@ -496,7 +484,21 @@ def build_samples(layout: DatasetLayout, frame_ids: Sequence[str], classes: dict
     return np.array(x).reshape(-1, FEATURE_SIZE), np.array(t).reshape(-1, 8)
 
 
+def _remove_outputs(*paths: Path) -> None:
+    """Remove a command's outputs before it runs, so a failed run leaves none."""
+    for path in paths:
+        path.unlink(missing_ok=True)
+
+
+def _earlier_output(path: Path, command: str) -> Path:
+    """path, which command writes; EmptyDataset if it does not exist."""
+    if not path.exists():
+        raise EmptyDataset(f"{path}: no such file; run {command} first")
+    return path
+
+
 def cmd_train(cfg: RunConfig) -> dict:
+    _remove_outputs(cfg.model_path, cfg.metrics_path)
     layout = DatasetLayout(cfg.dataset_dir)
     manifest = load_manifest(layout)
     cam = load_calibration(layout.calibration_path)
@@ -521,20 +523,24 @@ def cmd_train(cfg: RunConfig) -> dict:
 
 
 def cmd_predict(cfg: RunConfig) -> dict:
+    _remove_outputs(cfg.predictions_path)
     layout = DatasetLayout(cfg.dataset_dir)
     manifest = load_manifest(layout)
     cam = load_calibration(layout.calibration_path)
     # the codec k, feature mask and class stats the model was trained with
-    params, k, mask, classes = parse_model(cfg.model_path.read_bytes(), str(cfg.model_path))
+    params, k, mask, classes = parse_model(
+        _earlier_output(cfg.model_path, "train").read_bytes(), str(cfg.model_path))
 
     frame_ids = manifest.splits[cfg.predict_split]
+    # a frame's jitter stream is numbered by its position in the manifest,
+    # train then val then test, which is the index simulate rendered it at
+    first = sum(len(manifest.splits[s]) for s in SPLITS[:SPLITS.index(cfg.predict_split)])
     rows = []
-    for fid in frame_ids:
+    for index, fid in enumerate(frame_ids, first):
         slices = layout.load_slices(fid)
         labeled = read_labels(layout.labels_path(fid))
         boxes2d = [o.box2d for o in labeled]
         if cfg.perturb_2d > 0:
-            index = frame_index(fid, f"{layout.manifest_path}: splits.{cfg.predict_split}")
             rng = np.random.default_rng(_substream(cfg.seed, index, 2))
             boxes2d = [perturb_box2d(b, cfg.perturb_2d, rng) for b in boxes2d]
         for pred in predict(params, slices, boxes2d, classes, k, cam, mask):
@@ -550,13 +556,14 @@ def cmd_predict(cfg: RunConfig) -> dict:
 
 
 def cmd_eval(cfg: RunConfig, render_bev: bool = False) -> EvalReport:
+    _remove_outputs(cfg.report_json_path, cfg.report_csv_path)
     layout = DatasetLayout(cfg.dataset_dir)
     manifest = load_manifest(layout)
     frame_ids = manifest.splits[cfg.predict_split]
     if not frame_ids:
         raise EmptyDataset(f"{layout.root}: split {cfg.predict_split!r} is empty")
     labels_by_frame = {fid: layout.labels_path(fid) for fid in frame_ids}
-    dets, gts = read_boxes(cfg.predictions_path, labels_by_frame)
+    dets, gts = read_boxes(_earlier_output(cfg.predictions_path, "predict"), labels_by_frame)
     report = evaluate(dets, gts, cfg.eval_cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.report_json_path,

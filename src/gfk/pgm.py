@@ -3,11 +3,20 @@
 A frame's three slices are stored as one image, stacked top to bottom, with
 maxval noise.full_scale; any maxval above 255 uses two bytes per pixel, most
 significant byte first, per the netpbm convention.
+
+read_pgm parses the header with one pattern, HEADER: the magic P5, then
+width, height and maxval, each after at least one whitespace byte, then the
+one whitespace byte before the raster. Whitespace and '#' comments, each
+running to its newline, may precede any of them. A field is the run of
+non-whitespace bytes that follows, so '2#c' is one field and not a number;
+a field cannot start with '#', where a comment starts. That keeps the match
+linear in the header's length.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +27,9 @@ from .errors import ParseError
 # numpy copies an overlapping source before converting it, and a copy of
 # this size reuses one small block where a whole-frame copy maps fresh pages.
 CONVERT_PIXELS = 1 << 15
+
+_SKIP = rb"(?:\s|#[^\n]*\n)*"  # whitespace and comment lines
+HEADER = re.compile(_SKIP + rb"P5" + 3 * (rb"\s" + _SKIP + rb"([^\s#]\S*)") + rb"\s")
 
 
 def encode_pgm(image: np.ndarray, maxval: int) -> bytearray:
@@ -45,26 +57,6 @@ def _raster_dtype(maxval: int) -> np.dtype:
     return np.dtype(">u2" if maxval > 255 else np.uint8)
 
 
-def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
-    # skip whitespace and '#' comment lines
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ParseError(f"{path}: truncated header")
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return bytes(data[start:pos]), pos
-
-
 def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a binary PGM; returns (image, maxval) with dtype uint8 or uint16."""
     path = Path(path)
@@ -72,12 +64,11 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
         # one writable buffer for the file, so the raster converts in place
         data = bytearray(os.fstat(f.fileno()).st_size)
         del data[f.readinto(data):]
-    magic, pos = _next_token(data, 0, path)
-    if magic != b"P5":
-        raise ParseError(f"{path}: not a binary PGM (magic {magic!r})")
+    header = HEADER.match(data)
+    if header is None:
+        raise ParseError(f"{path}: not a binary PGM: no P5 header of width, height and maxval")
     fields = []
-    for _ in range(3):
-        tok, pos = _next_token(data, pos, path)
+    for tok in header.groups():
         try:
             if not tok.isdigit():  # bytes.isdigit: ASCII decimal digits, all netpbm allows
                 raise ValueError(tok)
@@ -87,12 +78,12 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     w, h, maxval = fields
     if w <= 0 or h <= 0 or not (0 < maxval < 65536):
         raise ParseError(f"{path}: bad header fields {w} {h} {maxval}")
-    pos += 1  # single whitespace byte separates header from raster
+    pos = header.end()
     dtype = _raster_dtype(maxval)
     n_bytes = w * h * dtype.itemsize
     if len(data) - pos != n_bytes:
         raise ParseError(f"{path}: expected {n_bytes} raster bytes for {w}x{h} pixels, "
-                         f"found {max(len(data) - pos, 0)}")
+                         f"found {len(data) - pos}")
     raster = np.frombuffer(data, dtype=dtype, offset=pos)
     if maxval > 255:
         native = raster.view(np.uint16)

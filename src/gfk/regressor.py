@@ -4,7 +4,11 @@ The network maps a 24-entry feature vector describing one 2D box crop to the
 eight frustum-code coefficients. Layout of the feature vector:
 
     [0:15]   per-slice crop statistics: mean, std, then three vertical-band
-             means, all divided by full scale; 5 entries for each of 3 slices
+             means, all divided by FULL_SCALE; 5 entries for each of 3 slices.
+             FULL_SCALE is the constant 1023, whatever noise.full_scale the
+             dataset was simulated at: at a larger full scale these features
+             can exceed 1, and at a smaller one they stay below
+             full_scale / 1023
     [15:18]  slice-mean ratio triple, normalized to sum to 1; all zero when
              the crop carries no signal, which doubles as the absence flag
     [18:22]  box geometry: u/width, v/height, w_u/width, h_v/height

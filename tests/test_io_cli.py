@@ -29,7 +29,6 @@ from gfk.io_cli import (
     cmd_predict,
     cmd_simulate,
     cmd_train,
-    frame_index,
     gfk_threads,
     load_manifest,
     load_run_config,
@@ -286,15 +285,6 @@ def test_readme_dataset_format_names_every_file_simulate_writes(tmp_path):
     assert sorted(n for n in names if f"`{n}`" not in section) == []
 
 
-def test_frame_index():
-    assert frame_index("frame_000042", "manifest.json: splits.test") == 42
-    assert frame_index("a_b_7", "manifest.json: splits.test") == 7
-    for fid in ("nope", "frame_", "frame_-3", "frame_+4", "frame_ 7", "frame_\u0663",
-                "frame_1e3", "frame_" + "9" * 5000):
-        with pytest.raises(ParseError, match=r"^manifest\.json: splits\.test: frame id "):
-            frame_index(fid, "manifest.json: splits.test")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -319,6 +309,18 @@ def test_simulate_layout_and_manifest(tmp_path):
     assert load_calibration(layout.calibration_path) == cfg.scene.camera
     gates = json.loads(layout.gates_path.read_text())
     assert tuple(GateConfig(**rec) for rec in gates) == cfg.gates
+
+
+def test_frame_ids_are_numbered_by_their_manifest_position(tmp_path):
+    # predict numbers each frame's jitter stream by its manifest position,
+    # train then val then test; simulate's ids carry that same number
+    cfg = load_run_config(write_config(tmp_path, {"dataset": {"frames": {"train": 3, "val": 2,
+                                                                         "test": 2}}}))
+    cmd_simulate(cfg)
+    splits = load_manifest(DatasetLayout(cfg.dataset_dir)).splits
+    assert [len(splits[s]) for s in ("train", "val", "test")] == [3, 2, 2]
+    ids = [fid for split in ("train", "val", "test") for fid in splits[split]]
+    assert [int(re.fullmatch(r"frame_(\d+)", fid).group(1)) for fid in ids] == list(range(7))
 
 
 def test_simulate_logs_one_placement_warning_per_frame(tmp_path, caplog):
@@ -402,22 +404,24 @@ def test_manifest_frame_id_that_is_not_a_directory_name_is_a_parse_error(tmp_pat
     assert capsys.readouterr().err.startswith(f"gfk-error: ParseError: {line}\n")
 
 
-@pytest.mark.parametrize("fid", ["frame_-3", "frame_+4", "frame_\u0663"])
-def test_predict_names_a_perturbed_frame_id_without_decimal_digits(tmp_path, capsys, fid):
-    # the frame's files exist, but perturb seeds each frame from its id's number
+def test_predict_perturbs_a_frame_whose_id_is_only_a_name(tmp_path):
+    # a frame id names the frame's files; perturb numbers its jitter stream
+    # by its manifest position, so an id need not end in a number
     p = write_config(tmp_path, {"train": {"epochs": 1}, "predict": {"perturb": 0.05}})
     cfg = load_run_config(p)
     for command in ("simulate", "train"):
         assert main([command, "--config", str(p)]) == 0
     layout = DatasetLayout(cfg.dataset_dir)
-    shutil.copyfile(layout.slices_path("frame_000005"), layout.slices_path(fid))
-    shutil.copyfile(layout.labels_path("frame_000005"), layout.labels_path(fid))
-    _add_frame_id(layout, "test", fid)
-    capsys.readouterr()
-    assert main(["predict", "--config", str(p)]) == 1
-    assert capsys.readouterr().err == (f"gfk-error: ParseError: {layout.manifest_path}: "
-                                       f"splits.test: frame id {fid!r} does not end in '_' and "
-                                       f"decimal digits\n")
+    shutil.copyfile(layout.slices_path("frame_000005"), layout.slices_path("frame_-3"))
+    shutil.copyfile(layout.labels_path("frame_000005"), layout.labels_path("frame_-3"))
+    _add_frame_id(layout, "test", "frame_-3")
+    assert main(["predict", "--config", str(p)]) == 0
+    boxes2d = {fid: [] for fid in ("frame_000005", "frame_-3")}
+    for fid, _box, box2d, _code in read_predictions(cfg.predictions_path):
+        boxes2d.get(fid, []).append(box2d)
+    # the same labels, jittered by the streams of manifest positions 5 and 7
+    assert len(boxes2d["frame_-3"]) == len(boxes2d["frame_000005"]) > 0
+    assert boxes2d["frame_-3"] != boxes2d["frame_000005"]
 
 
 def test_eval_writes_nothing_outside_its_run_for_a_frame_id_with_parent_steps(tmp_path):
@@ -542,6 +546,41 @@ def test_simulate_stops_rendering_at_a_failed_frame(tmp_path, monkeypatch, threa
     assert log.written == [f"frames/frame_{i:06d}{ext}" for i in range(2)
                            for ext in (".pgm", ".jsonl")]
     assert max(log.rendered) <= 2 + threads
+
+
+def test_an_interrupted_resimulate_leaves_no_dataset_to_train_on(tmp_path, monkeypatch, capsys):
+    # re-simulate at another seed fails in frame 3: frames 0-2 are then the
+    # new seed's and the rest the old one's, and no command may read the mix
+    p = write_config(tmp_path, {"dataset": {"frames": {"train": 5, "val": 1, "test": 0}}})
+    assert main(["simulate", "--config", str(p)]) == 0
+    cfg = load_run_config(p, seed_override=6)
+    log = _SimulateLog(monkeypatch, cfg, fail_frame=3)
+    with pytest.raises(RuntimeError) as raised:
+        cmd_simulate(cfg)
+    assert raised.value is log.error
+    capsys.readouterr()
+    assert main(["train", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == (f"gfk-error: EmptyDataset: {cfg.dataset_dir}: no "
+                                       f"manifest.json; run simulate first\n")
+
+
+def test_a_failed_stage_leaves_no_output_for_the_next(tmp_path, capsys):
+    # after a train that diverges, predict must not run the earlier model,
+    # nor eval score the earlier predictions after that failed predict
+    p = write_config(tmp_path, {"train": {"epochs": 1}})
+    cfg = load_run_config(p)
+    for command in ("simulate", "train", "predict", "eval"):
+        assert main([command, "--config", str(p)]) == 0
+    diverge = write_config(tmp_path, {"train": {"learning_rate": 1e30}}, name="diverge.json")
+    assert main(["train", "--config", str(diverge)]) == 1
+    assert not cfg.model_path.exists() and not cfg.metrics_path.exists()
+    for command, missing, first in (("predict", cfg.model_path, "train"),
+                                    ("eval", cfg.predictions_path, "predict")):
+        capsys.readouterr()
+        assert main([command, "--config", str(p)]) == 1
+        assert capsys.readouterr().err == (f"gfk-error: EmptyDataset: {missing}: no such file; "
+                                           f"run {first} first\n")
+    assert not cfg.report_json_path.exists() and not cfg.report_csv_path.exists()
 
 
 def test_simulate_seed_changes_content(tmp_path):
@@ -868,7 +907,8 @@ def test_train_and_predict_name_the_missing_frame_of_a_directory_per_frame_datas
     layout = DatasetLayout(cfg.dataset_dir)
     for fid in (f for split in load_manifest(layout).splits.values() for f in split):
         _to_directory_per_frame(layout, fid)
-    for command, fid in (("train", "frame_000000"), ("predict", "frame_000005")):
+    # predict first: a failed train removes the model that predict needs
+    for command, fid in (("predict", "frame_000005"), ("train", "frame_000000")):
         capsys.readouterr()
         assert main([command, "--config", str(p)]) == 1
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -153,3 +155,19 @@ def test_pixel_above_declared_maxval(tmp_path):
     p.write_bytes(b"P5\n1 1\n100\n" + bytes([200]))
     with pytest.raises(ParseError):
         read_pgm(p)
+
+
+@pytest.mark.parametrize("raw", [
+    b"P5 " + b"#" * (1 << 20),     # one comment that never reaches its newline
+    b"P5" + b"\n#" * (1 << 19),    # a million lines, each an empty comment or none
+], ids=["hash-run", "newline-hash-run"])
+def test_a_megabyte_header_is_rejected_in_linear_time(tmp_path, raw):
+    # a header pattern that let a field start with '#' or a comment stop
+    # short of its newline backtracks without end on these
+    p = tmp_path / "long.pgm"
+    p.write_bytes(raw)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as e:
+        read_pgm(p)
+    assert time.perf_counter() - start < 1.0
+    assert str(p) in str(e.value)
